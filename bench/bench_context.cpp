@@ -44,6 +44,13 @@
 //     stable JSON at 1, 2, and 8 threads; and the batched line kernel
 //     holds its >= 1.5x win over the single-fault walk at this scale.
 //
+//  6. "end_to_end" (a sub-object of BENCH_compiled.json): that same
+//     five-class campaign timed whole at 1 thread, run_campaign against a
+//     frozen replica of the campaign with the serial transistor path for
+//     marginal and floating dictionaries (polarity and stuck-open faults,
+//     which dominated its wall time).  Gate: >= 10x with byte-identical
+//     stable JSON.
+//
 // The last line printed is the concatenation marker-free JSON object of
 // the *compiled* leg (with the batched sub-object merged in); both
 // objects are written to their BENCH_*.json.
@@ -578,9 +585,8 @@ int run_compiled_leg(std::string& json_out) {
 // SoA transistor planes + SIMD widening) vs the PR-5 single-fault packed
 // path.  The universe is every packed-eligible fault: all line faults plus
 // every transistor fault with a purely binary dictionary.  Floating and
-// marginal-row faults take the identical retained-state serial path under
-// either configuration and are excluded — they would only dilute the
-// packed-path measurement.
+// marginal-row faults (the dual-rail path, which leg 6 measures) are
+// excluded, as they were when this leg was written.
 //
 // "Before" is the PR-5 shape: line faults through the library's
 // single-fault path (batch_line_faults=false — one init_packed +
@@ -1110,6 +1116,189 @@ int run_large_circuit_leg(std::string& json_out) {
              : 1;
 }
 
+// ---------------------------------------------------------------------------
+// Leg 6: the whole five-class campaign, end to end.  "Before" is a frozen
+// replica of the campaign as it ran while marginal and floating
+// dictionaries took the serial transistor path: the same universe,
+// patterns and shards, line faults and binary transistor faults on the
+// library's plane paths (which that change did not touch), and every other
+// transistor fault walked pattern by pattern through the scalar simulator
+// with the previous pattern's whole net vector retained.  "After" is
+// engine::run_campaign.  Both build everything from the circuit up, at one
+// thread.
+
+namespace serial_replica {
+
+/// The retired serial transistor routine: one scalar good and faulty walk
+/// per pattern (the good ones precomputed per job, as the context used to
+/// hold them), one SimResult and one state copy per pattern.
+faults::DetectionRecord transistor(const logic::Circuit& ckt,
+                                   const logic::Simulator& sim,
+                                   const std::vector<logic::SimResult>& good,
+                                   const std::vector<logic::Pattern>& patterns,
+                                   const faults::Fault& fault,
+                                   const gates::FaultAnalysis& fa,
+                                   const faults::FaultSimOptions& opt) {
+  const logic::GateFault gf{fault.gate, fault.cell_fault};
+  faults::DetectionRecord rec;
+  std::vector<logic::LogicV> state;
+  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
+    const logic::SimResult bad = sim.simulate_faulty_with(
+        patterns[pi], gf, fa,
+        opt.sequential_patterns && !state.empty() ? &state : nullptr);
+    if (opt.sequential_patterns) state = bad.net_values;
+
+    bool hit = false;
+    if (bad.iddq_flag && opt.observe_iddq) {
+      rec.detected_iddq = true;
+      hit = true;
+    }
+    for (const logic::NetId po : ckt.primary_outputs()) {
+      const logic::LogicV g = good[pi].value(po);
+      const logic::LogicV b = bad.value(po);
+      if (is_binary(g) && is_binary(b) && g != b) {
+        rec.detected_output = true;
+        hit = true;
+      } else if (is_binary(g) && !is_binary(b)) {
+        rec.potential = true;
+      }
+    }
+    if (hit && rec.first_pattern < 0) rec.first_pattern = static_cast<int>(pi);
+    if (rec.first_pattern >= 0 &&
+        opt.detection_mode == faults::DetectionMode::kFirstOnly)
+      break;
+  }
+  return rec;
+}
+
+/// engine::run_campaign for an inline, unsampled, bridge-free campaign,
+/// with the serial transistor routine above in its shard loop.
+engine::CampaignReport run_campaign(const engine::CampaignSpec& spec) {
+  faults::FaultSimOptions sim = spec.sim;
+  sim.detection_mode = spec.detection_mode;
+  const util::SplitMix64 campaign_rng(spec.seed);
+  engine::CampaignReport report;
+  report.seed = spec.seed;
+  report.shard_size = spec.shard_size;
+  report.pattern_source = engine::to_string(spec.patterns.kind);
+  report.fault_sample_fraction = spec.fault_sample_fraction;
+  report.observe_iddq = spec.sim.observe_iddq;
+  report.detection_mode = spec.detection_mode;
+  for (std::size_t j = 0; j < spec.jobs.size(); ++j) {
+    const logic::Circuit& ckt = spec.jobs[j].circuit;
+    const std::vector<engine::CampaignFault> universe =
+        engine::build_universe(ckt, spec.models, spec.sim.observe_iddq);
+    const std::uint64_t job = j;
+    const std::vector<logic::Pattern> patterns = engine::build_patterns(
+        ckt, spec.patterns, campaign_rng.fork(2 * job));
+    const std::vector<engine::Shard> shards = engine::make_shards(
+        static_cast<int>(j), universe.size(), spec.shard_size,
+        campaign_rng.fork(2 * job + 1));
+    const faults::EvalContext ctx(ckt, patterns);
+    const logic::Simulator scalar(ckt);
+    std::vector<logic::SimResult> good;
+    for (const logic::Pattern& p : patterns) good.push_back(scalar.simulate(p));
+    const faults::FaultSimulator fsim(ckt);
+
+    engine::JobReport jr;
+    jr.circuit = spec.jobs[j].name;
+    jr.gate_count = ckt.gate_count();
+    jr.transistor_count = ckt.transistor_count();
+    jr.pattern_count = static_cast<int>(patterns.size());
+    for (const engine::Shard& shard : shards) {
+      engine::ShardResult sr;
+      sr.job = shard.job;
+      sr.index = shard.index;
+      sr.results.resize(shard.end - shard.begin);
+      std::vector<faults::Fault> packed;
+      std::vector<std::size_t> packed_slot;
+      for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        engine::FaultResult& r = sr.results[i - shard.begin];
+        r.cls = universe[i].cls;
+        const faults::Fault& f = universe[i].fault;
+        if (f.site == faults::FaultSite::kGateTransistor) {
+          const gates::FaultAnalysis& fa =
+              ctx.dictionary(ckt.gate(f.gate).kind, f.cell_fault);
+          if (!fa.compiled_binary) {
+            r.record = transistor(ckt, scalar, good, patterns, f, fa, sim);
+            continue;
+          }
+        }
+        packed.push_back(f);
+        packed_slot.push_back(i - shard.begin);
+      }
+      const std::vector<faults::DetectionRecord> records =
+          fsim.run_range(ctx, packed, 0, packed.size(), sim);
+      for (std::size_t k = 0; k < records.size(); ++k)
+        sr.results[packed_slot[k]].record = records[k];
+      engine::accumulate_shard(jr, sr, jr.pattern_count, spec.sim.observe_iddq);
+    }
+    report.jobs.push_back(std::move(jr));
+  }
+  return report;
+}
+
+}  // namespace serial_replica
+
+int run_end_to_end_leg(std::string& json_out) {
+  const logic::Circuit ckt =
+      logic::read_bench_string(logic::to_bench_string(logic::alu_array(64)));
+  engine::CampaignSpec spec;
+  spec.jobs.push_back({"alu_array_64_bench", ckt});
+  spec.patterns.kind = engine::PatternSourceSpec::Kind::kRandom;
+  spec.patterns.random_count = 128;
+  spec.seed = 97;
+  spec.threads = 1;
+
+  std::size_t dual_faults = 0;
+  const std::vector<engine::CampaignFault> universe =
+      engine::build_universe(ckt, spec.models, spec.sim.observe_iddq);
+  for (const engine::CampaignFault& f : universe)
+    if (f.fault.site == faults::FaultSite::kGateTransistor &&
+        !gates::DictionaryCache::global()
+             .lookup(ckt.gate(f.fault.gate).kind, f.fault.cell_fault)
+             .compiled_binary)
+      ++dual_faults;
+
+  std::cout << "=== End-to-end five-class campaign: alu_array_64 via .bench ("
+            << ckt.gate_count() << " gates, " << universe.size()
+            << " faults, " << dual_faults
+            << " with marginal/floating dictionaries), 128 patterns, "
+            << "1 thread ===\n";
+
+  // One serial pass (it takes seconds); the fast side is the best of five.
+  auto t0 = Clock::now();
+  const std::string before_json = serial_replica::run_campaign(spec).to_json();
+  const double before_s = seconds_since(t0);
+  std::string after_json;
+  double after_s = 1e30;
+  for (int round = 0; round < 5; ++round) {
+    t0 = Clock::now();
+    const engine::CampaignReport report = engine::run_campaign(spec);
+    after_s = std::min(after_s, seconds_since(t0));
+    after_json = report.to_json();
+  }
+  const bool identical = after_json == before_json;
+  const double speedup = after_s > 0.0 ? before_s / after_s : 0.0;
+
+  std::cout << "before (serial transistor path): " << before_s * 1e3
+            << " ms\nafter (run_campaign): " << after_s * 1e3
+            << " ms\nspeedup: " << speedup << "x, stable JSON "
+            << (identical ? "byte-identical" : "MISMATCH") << "\n\n";
+
+  json_out = "{\"circuit\":\"alu_array_64_bench\",\"gates\":" +
+             std::to_string(ckt.gate_count()) +
+             ",\"faults\":" + std::to_string(universe.size()) +
+             ",\"dual_rail_faults\":" + std::to_string(dual_faults) +
+             ",\"patterns\":128,\"threads\":1,\"before_s\":" +
+             std::to_string(before_s) +
+             ",\"after_s\":" + std::to_string(after_s) +
+             ",\"speedup\":" + std::to_string(speedup) +
+             ",\"identical\":" + (identical ? "true" : "false") +
+             ",\"threshold\":10}";
+  return identical && speedup >= 10.0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main() {
@@ -1122,19 +1311,23 @@ int main() {
   const int batched_rc = run_batched_leg(batched_json);
   const int dropping_rc = run_dropping_leg(dropping_json);
   const int large_rc = run_large_circuit_leg(large_json);
+  std::string end_to_end_json;
+  const int end_to_end_rc = run_end_to_end_leg(end_to_end_json);
 
   // One BENCH_compiled.json: the compiled-leg object with the batched,
-  // dropping, and large-circuit legs merged in as sub-objects, so the
-  // bench trajectory stays a single file per commit.
+  // dropping, large-circuit and end-to-end legs merged in as sub-objects,
+  // so the bench trajectory stays a single file per commit.
   const std::string json = compiled_json.substr(0, compiled_json.size() - 1) +
                            ",\"batched\":" + batched_json +
                            ",\"dropping\":" + dropping_json +
-                           ",\"large_circuit\":" + large_json + "}";
+                           ",\"large_circuit\":" + large_json +
+                           ",\"end_to_end\":" + end_to_end_json + "}";
   std::ofstream("BENCH_compiled.json") << json << "\n";
   std::cout << json << "\n";
 
   if (context_rc != 0) return context_rc;
   if (compiled_rc != 0) return compiled_rc;
   if (batched_rc != 0) return batched_rc;
-  return dropping_rc != 0 ? dropping_rc : large_rc;
+  if (dropping_rc != 0) return dropping_rc;
+  return large_rc != 0 ? large_rc : end_to_end_rc;
 }

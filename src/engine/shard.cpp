@@ -58,22 +58,21 @@ namespace {
 
 /// Simulates one bridge over the pattern sequence, mirroring the hit
 /// semantics of FaultSimulator::simulate_transistor_fault.  The good
-/// machine comes from the job's shared context — simulated once per
-/// pattern set, serving both the PO comparison and the IDDQ excitation
-/// check for every bridge of every shard.
+/// machine comes from the job's shared context (EvalContext::good_value)
+/// — simulated once per pattern set, serving both the PO comparison and
+/// the IDDQ excitation check for every bridge of every shard.
 faults::DetectionRecord simulate_bridge_fault(
     const faults::EvalContext& ctx, const faults::BridgeFault& bridge,
     const faults::FaultSimOptions& options) {
   const logic::Circuit& ckt = ctx.circuit();
   faults::DetectionRecord rec;
   for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
-    const logic::SimResult& good = ctx.good(pi);
     bool hit = false;
     if (!rec.detected_output) {
       const std::vector<logic::LogicV> bad =
           faults::simulate_bridge(ckt, bridge, ctx.patterns()[pi]);
       for (const logic::NetId po : ckt.primary_outputs()) {
-        const logic::LogicV g = good.value(po);
+        const logic::LogicV g = ctx.good_value(pi, po);
         const logic::LogicV b = bad[static_cast<std::size_t>(po)];
         if (logic::is_binary(g) && logic::is_binary(b) && g != b) {
           rec.detected_output = true;
@@ -83,8 +82,8 @@ faults::DetectionRecord simulate_bridge_fault(
       }
     }
     if (options.observe_iddq) {
-      const logic::LogicV va = good.value(bridge.a);
-      const logic::LogicV vb = good.value(bridge.b);
+      const logic::LogicV va = ctx.good_value(pi, bridge.a);
+      const logic::LogicV vb = ctx.good_value(pi, bridge.b);
       if (logic::is_binary(va) && logic::is_binary(vb) && va != vb) {
         rec.detected_iddq = true;
         hit = true;
@@ -142,10 +141,12 @@ ShardResult run_shard(const faults::EvalContext& ctx,
     gathered_slot.push_back(i - shard.begin);
   }
   faults::LineBatchStats batch_stats;
+  faults::TransistorPathStats path_stats;
   if (!gathered.empty()) {
     const faults::FaultSimulator fsim(ctx.circuit());
-    const std::vector<faults::DetectionRecord> records = fsim.run_range(
-        ctx, gathered, 0, gathered.size(), options.sim, &batch_stats);
+    const std::vector<faults::DetectionRecord> records =
+        fsim.run_range(ctx, gathered, 0, gathered.size(), options.sim,
+                       &batch_stats, &path_stats);
     for (std::size_t k = 0; k < gathered.size(); ++k)
       out.results[gathered_slot[k]].record = records[k];
   }
@@ -193,6 +194,13 @@ ShardResult run_shard(const faults::EvalContext& ctx,
     reg.counter("engine.batch_groups").add(batch_stats.groups);
     reg.counter("engine.batch_width").add(batch_stats.lane_slots);
     reg.counter("engine.faults_cpt").add(batch_stats.cpt_faults);
+    // Transistor faults by evaluation path: binary dictionaries on the
+    // value rail, marginal/floating ones on dual rails, and the serial
+    // scalar walk that only X-bearing pattern sets still take.
+    reg.counter("engine.faults_transistor_packed").add(path_stats.packed);
+    reg.counter("engine.faults_transistor_dual_rail")
+        .add(path_stats.dual_rail);
+    reg.counter("engine.faults_transistor_scalar").add(path_stats.scalar);
     auto& fill_hist = reg.histogram("shard.batch_fill");
     for (std::size_t k = 0; k < batch_stats.fill.size(); ++k) {
       const double encoded_s = static_cast<double>(1ull << k) * 1e-6;

@@ -300,8 +300,9 @@ std::string serialize_shard_input(const logic::Circuit& ckt,
   j.value(options.sim.observe_iddq);
   j.key("sequential_patterns");
   j.value(options.sim.sequential_patterns);
+  // Retired option, still written: older servers read it with at().
   j.key("batch_transistor_faults");
-  j.value(options.sim.batch_transistor_faults);
+  j.value(true);
   // Serialized because it changes the records a worker computes.  The
   // work-reduction toggles (drop_detected, critical_path_tracing) are
   // deliberately NOT on the wire: they never change results, so they stay
@@ -363,8 +364,8 @@ ShardWorkInput parse_shard_input(const std::string& text) {
       ov.at("observe_iddq").as_bool("observe_iddq");
   input.options.sim.sequential_patterns =
       ov.at("sequential_patterns").as_bool("sequential_patterns");
-  input.options.sim.batch_transistor_faults =
-      ov.at("batch_transistor_faults").as_bool("batch_transistor_faults");
+  // "batch_transistor_faults" (a retired option older clients still
+  // send) is accepted and ignored, and may be absent.
   input.options.sim.detection_mode =
       ov.at("detection_mode").as_string("detection_mode") == "first_only"
           ? faults::DetectionMode::kFirstOnly

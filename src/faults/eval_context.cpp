@@ -40,13 +40,16 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
       cache_(cache != nullptr ? cache : &gates::DictionaryCache::global()),
       patterns_(std::move(patterns)),
       sim_(require_finalized(ckt)) {
-  // Scalar good machine, once per pattern (this also validates arity);
-  // the compilation behind sim_ is shared by every pass below.
-  good_.reserve(patterns_.size());
-  for (const logic::Pattern& p : patterns_) good_.push_back(sim_.simulate(p));
+  const std::size_t n_pi = ckt.primary_inputs().size();
+  for (const logic::Pattern& p : patterns_)
+    if (p.size() != n_pi)
+      throw std::invalid_argument("EvalContext: pattern arity mismatch");
 
   // Packed batches need fully-specified patterns; an X anywhere keeps the
-  // context scalar-only (the serial transistor paths still work).
+  // context scalar-only: one good simulation per pattern, for the serial
+  // transistor path.  Packed contexts read the good machine from the
+  // planes instead (good_value()), so they never hold per-pattern
+  // SimResults — at campaign scale those dwarfed the planes.
   packed_ = true;
   for (const logic::Pattern& p : patterns_) {
     for (const logic::LogicV v : p)
@@ -56,7 +59,12 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
       }
     if (!packed_) break;
   }
-  if (!packed_) return;
+  if (!packed_) {
+    good_.reserve(patterns_.size());
+    for (const logic::Pattern& p : patterns_)
+      good_.push_back(sim_.simulate(p));
+    return;
+  }
 
   // SoA bit-planes: word `w` of net `n` lives at [n * stride + w], so the
   // multi-word kernels stream one net's words contiguously.  The stride
@@ -64,7 +72,6 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
   // all-zero-input pattern and are masked off by active_words().
   n_words_ = (patterns_.size() + 63) / 64;
   stride_ = logic::CompiledCircuit::plane_stride(n_words_);
-  const std::size_t n_pi = ckt.primary_inputs().size();
   pi_planes_.assign(n_pi * stride_, 0);
   for (std::size_t base = 0; base < patterns_.size(); base += 64) {
     const std::size_t count =

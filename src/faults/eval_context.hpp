@@ -3,9 +3,9 @@
 // reused across the whole fault universe.  The seed hot loop re-simulated
 // the good machine and re-packed patterns for *every single fault*
 // (O(faults x patterns) good-machine work); an EvalContext makes that
-// O(patterns): packed PI words and packed good-machine words per
-// 64-pattern batch, the per-pattern scalar good SimResult sequence, and a
-// memoized fault-dictionary cache.
+// O(patterns): packed PI words and the good machine as SoA bit planes
+// (or, for X-bearing pattern sets, one scalar good SimResult per pattern)
+// plus a memoized fault-dictionary cache.
 //
 // Ownership and lifetime rules:
 //   * the circuit is held by reference and must outlive the context;
@@ -40,10 +40,11 @@ class EvalContext {
     std::vector<std::uint64_t> pi_words;   ///< per PI (pack_patterns order)
   };
 
-  /// Builds the context: per-pattern scalar good simulation always; packed
-  /// batches only when every pattern is fully specified (binary).  X-bearing
-  /// pattern sets still work for the serial transistor paths — only the
-  /// packed line/batch paths require packability.
+  /// Builds the context: packed batches and good-machine planes when every
+  /// pattern is fully specified (binary), one scalar good simulation per
+  /// pattern otherwise.  X-bearing pattern sets still work for the serial
+  /// transistor path — only the packed paths require packability.
+  /// @throws std::invalid_argument on a pattern arity mismatch
   /// @param ckt finalized circuit; must outlive the context
   /// @param cache borrowed dictionary cache; nullptr selects global()
   EvalContext(const logic::Circuit& ckt, std::vector<logic::Pattern> patterns,
@@ -102,10 +103,16 @@ class EvalContext {
     return crit_planes_.data() + static_cast<std::size_t>(net) * stride_;
   }
 
-  /// Fault-free scalar simulation of pattern `index` (precomputed).
-  [[nodiscard]] const logic::SimResult& good(std::size_t index) const {
-    assert(index < good_.size());
-    return good_[index];
+  /// Fault-free value of `net` under pattern `pattern`: read from the
+  /// good-machine planes when packed() (always binary there), from the
+  /// precomputed scalar simulation otherwise (may be X).
+  [[nodiscard]] logic::LogicV good_value(std::size_t pattern,
+                                         logic::NetId net) const {
+    assert(pattern < pattern_count());
+    if (!packed_) return good_[pattern].value(net);
+    return logic::from_bool(((good_plane(net)[pattern / 64] >>
+                              (pattern % 64)) &
+                             1u) != 0);
   }
 
   /// Memoized switch-level dictionary of (kind, fault).
@@ -127,7 +134,7 @@ class EvalContext {
   gates::DictionaryCache* cache_;
   std::vector<logic::Pattern> patterns_;
   logic::Simulator sim_;
-  std::vector<logic::SimResult> good_;
+  std::vector<logic::SimResult> good_;  ///< scalar goods (!packed_ only)
   std::vector<Batch> batches_;
   std::size_t n_words_ = 0;
   std::size_t stride_ = 0;

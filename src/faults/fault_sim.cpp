@@ -5,8 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "gates/dictionary_cache.hpp"
-
 namespace cpsinw::faults {
 
 using logic::LogicV;
@@ -98,7 +96,7 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
 std::vector<DetectionRecord> FaultSimulator::run_range(
     const EvalContext& ctx, const std::vector<Fault>& faults,
     std::size_t begin, std::size_t end, const FaultSimOptions& options,
-    LineBatchStats* stats) const {
+    LineBatchStats* stats, TransistorPathStats* paths) const {
   check_context(ctx);
   if (begin > end || end > faults.size())
     throw std::invalid_argument("run_range: bad fault range");
@@ -147,16 +145,20 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
     }
   }
 
-  // --- Transistor faults: packed table-driven batches when the dictionary
-  // allows it, retained-state serial simulation otherwise.  One scratch set
-  // serves the whole range (the plane kernel's epoch bookkeeping persists
-  // across faults, so reuse also skips its per-call re-zeroing). -----------
+  // --- Transistor faults: the plane kernel on packed contexts, the
+  // retained-state serial walk otherwise.  One scratch set serves the whole
+  // range (the plane kernel's cone cache persists across faults, so reuse
+  // also skips its per-call re-zeroing); path counts accumulate locally
+  // and reach the caller's sink once. --------------------------------------
   TransistorScratch scratch;
+  TransistorPathStats local_paths;
   for (std::size_t fi = begin; fi < end; ++fi) {
     const Fault& f = faults[fi];
     if (f.site != FaultSite::kGateTransistor) continue;
-    records[fi - begin] = simulate_transistor_scratch(ctx, f, options, scratch);
+    records[fi - begin] =
+        simulate_transistor_scratch(ctx, f, options, scratch, &local_paths);
   }
+  if (paths != nullptr) paths->merge(local_paths);
   return records;
 }
 
@@ -381,56 +383,21 @@ bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
 DetectionRecord FaultSimulator::simulate_transistor_fault(
     const Fault& fault, const std::vector<Pattern>& patterns,
     const FaultSimOptions& options) const {
-  if (fault.site != FaultSite::kGateTransistor)
-    throw std::invalid_argument("simulate_transistor_fault: wrong site");
-  const logic::GateFault gf{fault.gate, fault.cell_fault};
-  const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-      ckt_.gate(fault.gate).kind, fault.cell_fault);
-
-  DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const Pattern& p = patterns[pi];
-    const logic::SimResult good = sim_.simulate(p);
-    const logic::SimResult bad = sim_.simulate_faulty_with(
-        p, gf, fa, options.sequential_patterns && !state.empty() ? &state
-                                                                 : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const logic::NetId po : ckt_.primary_outputs()) {
-      const LogicV g = good.value(po);
-      const LogicV b = bad.value(po);
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0)
-      rec.first_pattern = static_cast<int>(pi);
-    if (rec.first_pattern >= 0 &&
-        options.detection_mode == DetectionMode::kFirstOnly)
-      break;
-  }
-  return rec;
+  const EvalContext ctx(ckt_, patterns);
+  return simulate_transistor_fault(ctx, fault, options);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_fault(
     const EvalContext& ctx, const Fault& fault,
     const FaultSimOptions& options) const {
   TransistorScratch scratch;
-  return simulate_transistor_scratch(ctx, fault, options, scratch);
+  return simulate_transistor_scratch(ctx, fault, options, scratch, nullptr);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_scratch(
     const EvalContext& ctx, const Fault& fault,
-    const FaultSimOptions& options, TransistorScratch& scratch) const {
+    const FaultSimOptions& options, TransistorScratch& scratch,
+    TransistorPathStats* paths) const {
   check_context(ctx);
   if (fault.site != FaultSite::kGateTransistor)
     throw std::invalid_argument("simulate_transistor_fault: wrong site");
@@ -457,12 +424,15 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   }
   const gates::FaultAnalysis& fa = *fap;
 
-  // Purely binary dictionaries (no floating rows to retain, no X rows to
-  // propagate) behave as a combinational table substitution: 64 patterns
-  // per pass.  Floating/marginal faults keep the retained-state serial
-  // path that two-pattern stuck-open detection relies on.
-  if (options.batch_transistor_faults && ctx.packed() && fa.compiled_binary)
+  // Packed contexts run every dictionary on the planes (binary ones on the
+  // value rail, marginal/floating ones on dual rails); only X-bearing
+  // pattern sets walk the circuit pattern by pattern.
+  if (ctx.packed()) {
+    if (paths != nullptr)
+      ++(fa.compiled_binary ? paths->packed : paths->dual_rail);
     return simulate_transistor_packed(ctx, fault, fa, options, scratch);
+  }
+  if (paths != nullptr) ++paths->scalar;
   return simulate_transistor_serial(ctx, fault, fa, options);
 }
 
@@ -474,7 +444,6 @@ DetectionRecord FaultSimulator::simulate_transistor_serial(
   std::vector<LogicV> state;
   for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
     const Pattern& p = ctx.patterns()[pi];
-    const logic::SimResult& good = ctx.good(pi);
     const logic::SimResult bad = sim_.simulate_faulty_with(
         p, gf, fa, options.sequential_patterns && !state.empty() ? &state
                                                                  : nullptr);
@@ -486,7 +455,7 @@ DetectionRecord FaultSimulator::simulate_transistor_serial(
       hit = true;
     }
     for (const logic::NetId po : ckt_.primary_outputs()) {
-      const LogicV g = good.value(po);
+      const LogicV g = ctx.good_value(pi, po);
       const LogicV b = bad.value(po);
       if (is_binary(g) && is_binary(b) && g != b) {
         rec.detected_output = true;
@@ -509,21 +478,35 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
     const gates::FaultAnalysis& fa, const FaultSimOptions& options,
     TransistorScratch& scratch) const {
   // Faulty machine: every gate evaluates normally except the faulted one,
-  // whose output words come from its compiled faulty table — pattern words
-  // share the context's good planes.
+  // whose output words come from its compiled dictionary — pattern words
+  // share the context's good planes.  Dictionaries with marginal or
+  // floating rows add the X rail, and with it the potential words.
   DetectionRecord rec;
   const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
-  // A binary dictionary can only produce a nonzero diff word when some row
-  // is kWrongValue and a nonzero contention word when some row contends, so
-  // for a fault with neither the empty record is exact without any pass.
-  if (options.drop_detected && !fa.output_detectable &&
-      (!options.observe_iddq || !fa.iddq_detectable))
+  const bool dual = !fa.compiled_binary;
+  // Which observables can ever fire: a definite PO flip needs a
+  // kWrongValue row or a floating row (which may retain a wrong value), X
+  // at a PO a marginal or floating row, an IDDQ hit a contending row.  A
+  // marginal row alone never flips a PO: every defined value downstream of
+  // an X holds for both of its completions, the good one included.
+  const bool output_possible = fa.output_detectable || fa.needs_sequence;
+  const bool potential_possible = fa.marginal_detectable || fa.needs_sequence;
+  const bool iddq_possible = options.observe_iddq && fa.iddq_detectable;
+  // With none of them possible the empty record is exact without any pass.
+  if (options.drop_detected && !output_possible && !potential_possible &&
+      !iddq_possible)
     return rec;
   const logic::CompiledCircuit& cc = sim_.compiled();
   const std::size_t n_words = ctx.word_count();
   std::vector<std::uint64_t>& diff = scratch.diff;
   std::vector<std::uint64_t>& contention = scratch.contention;
+  std::vector<std::uint64_t>& potential = scratch.potential;
   const std::uint64_t* const active = ctx.active_words().data();
+  // What a floating output retains from one kernel call to the next; none
+  // without sequence threading (floating rows then read X).
+  logic::CompiledCircuit::RetainedOutput retained;
+  logic::CompiledCircuit::RetainedOutput* const carry =
+      options.sequential_patterns ? &retained : nullptr;
 
   if (!options.drop_detected && !first_only) {
     // Full pass, no early exit: an IDDQ-only excitation in a late word must
@@ -534,17 +517,24 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
     // pattern only when something actually hit.
     diff.resize(n_words);
     contention.resize(n_words);
+    if (dual) potential.resize(n_words);
     cc.eval_packed_faulty_planes(ctx.good_planes(), ctx.plane_stride(),
                                  n_words, fault.gate, fa, diff.data(),
-                                 contention.data(), scratch.lanes);
+                                 contention.data(), potential.data(), carry,
+                                 scratch.lanes);
     std::uint64_t any_d = 0;
     std::uint64_t any_c = 0;
+    std::uint64_t any_x = 0;
     for (std::size_t w = 0; w < n_words; ++w) {
       any_d |= diff[w] & active[w];
       any_c |= contention[w] & active[w];
     }
+    if (dual)
+      for (std::size_t w = 0; w < n_words; ++w)
+        any_x |= potential[w] & active[w];
     rec.detected_output = any_d != 0;
     rec.detected_iddq = options.observe_iddq && any_c != 0;
+    rec.potential = any_x != 0;
     if (any_d != 0 || rec.detected_iddq) {
       for (std::size_t w = 0; w < n_words; ++w) {
         const std::uint64_t hit =
@@ -559,19 +549,21 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
   }
 
   // --- Strip-mined walk (dropping and/or first-only).  In full mode the
-  // walk stops only once no later word can change the record — output side
-  // resolved (diff seen, or no kWrongValue row exists) AND IDDQ side
-  // resolved (contention seen, not observed, or no contending row) — so
-  // the record is bit-identical to the full pass above.  In first-only
-  // mode the walk stops at the word holding the first counted detection,
-  // with that word's contributions masked to patterns at or before the
-  // hit bit: exactly the prefix the serial path sees before its break. ----
+  // walk stops only once no later word can change the record: output,
+  // IDDQ and potential sides each either seen or impossible — so the
+  // record is bit-identical to the full pass above.  In first-only mode
+  // the walk stops at the word holding the first counted detection, with
+  // that word's contributions masked to patterns at or before the hit
+  // bit: exactly the prefix the serial path sees before its break.  The
+  // retained output carries from strip to strip through `carry`. ---------
   constexpr std::size_t kFirstStrip = logic::CompiledCircuit::kSimdWords;
   constexpr std::size_t kWideStrip = 4 * logic::CompiledCircuit::kSimdWords;
   diff.resize(kWideStrip);
   contention.resize(kWideStrip);
+  if (dual) potential.resize(kWideStrip);
   std::uint64_t any_d = 0;
   std::uint64_t any_c = 0;
+  std::uint64_t any_x = 0;
   std::size_t w0 = 0;
   std::size_t strip = kFirstStrip;
   while (w0 < n_words) {
@@ -579,10 +571,12 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
     strip = kWideStrip;
     cc.eval_packed_faulty_planes(ctx.good_planes() + w0, ctx.plane_stride(),
                                  nw, fault.gate, fa, diff.data(),
-                                 contention.data(), scratch.lanes);
+                                 contention.data(), potential.data(), carry,
+                                 scratch.lanes);
     for (std::size_t w = 0; w < nw; ++w) {
       const std::uint64_t d = diff[w] & active[w0 + w];
       const std::uint64_t c = contention[w] & active[w0 + w];
+      const std::uint64_t x = dual ? potential[w] & active[w0 + w] : 0;
       const std::uint64_t hit = d | (options.observe_iddq ? c : 0);
       if (rec.first_pattern < 0 && hit != 0) {
         const int b = __builtin_ctzll(hit);
@@ -591,23 +585,27 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
           const std::uint64_t mask = b == 63 ? ~0ull : ((1ull << (b + 1)) - 1);
           any_d |= d & mask;
           any_c |= c & mask;
+          any_x |= x & mask;
           break;
         }
       }
       any_d |= d;
       any_c |= c;
+      any_x |= x;
     }
     if (first_only && rec.first_pattern >= 0) break;
     w0 += nw;
     if (!first_only) {
-      const bool out_final = any_d != 0 || !fa.output_detectable;
+      const bool out_final = any_d != 0 || !output_possible;
       const bool iddq_final =
           !options.observe_iddq || any_c != 0 || !fa.iddq_detectable;
-      if (out_final && iddq_final) break;
+      const bool potential_final = any_x != 0 || !potential_possible;
+      if (out_final && iddq_final && potential_final) break;
     }
   }
   rec.detected_output = any_d != 0;
   rec.detected_iddq = options.observe_iddq && any_c != 0;
+  rec.potential = any_x != 0;
   return rec;
 }
 

@@ -1,16 +1,24 @@
-// Fault simulation: 64-pattern-parallel for line stuck-at faults and for
-// transistor faults whose dictionaries are purely binary (no floating or
-// marginal rows), serial dictionary-based for the rest (with
-// floating-output retention across pattern sequences, which is what
-// two-pattern stuck-open tests rely on), and IDDQ observation for the
-// paper's polarity faults.
+// Fault simulation over a shared EvalContext.  Every fault on a packed
+// context (fully specified patterns) runs on the SoA bit planes:
+//   * line stuck-at faults through the multi-fault batch kernel (or
+//     critical-path tracing on fan-out-free single-output cones);
+//   * transistor faults through one fan-out-cone kernel — binary
+//     dictionaries as a table substitution on the value rail, dictionaries
+//     with marginal (X) or floating rows on dual rails, where floating
+//     outputs retain the previous pattern's value (what two-pattern
+//     stuck-open tests rely on) and X reaching a PO is a potential
+//     detection;
+//   * IDDQ observation of the paper's polarity faults from the
+//     dictionary's contention rows.
+// Only contexts with X-bearing patterns fall back to the serial scalar
+// routine, one circuit walk per pattern with retained state.
 //
 // All fault-independent work (pattern packing, the good machine, the
 // switch-level dictionaries) lives in a faults::EvalContext built once per
 // (circuit, pattern set) and shared across the whole fault universe — and,
 // in the campaign engine, across every shard of a job.  The context-free
-// run/run_range signatures are thin wrappers that build a local context,
-// so their behaviour is bit-identical to the historical serial path.
+// signatures are thin wrappers that build a local context, so ATPG
+// verification and campaigns take the same paths.
 #pragma once
 
 #include <array>
@@ -66,11 +74,6 @@ struct FaultSimOptions {
   /// Thread net state across consecutive patterns so floating outputs
   /// retain charge (enables two-pattern stuck-open detection).
   bool sequential_patterns = true;
-  /// Evaluate transistor faults with purely binary dictionaries (no
-  /// floating/marginal rows) 64 patterns at a time via their faulty-logic
-  /// tables.  Bit-identical to the serial path — the switch exists so the
-  /// golden-equivalence tests can compare both.
-  bool batch_transistor_faults = true;
   /// Evaluate line faults in groups of CompiledCircuit::kBatchLanes
   /// through the multi-fault batch kernel (one forward walk shared by the
   /// whole group) instead of one packed pass per fault per batch.
@@ -83,8 +86,8 @@ struct FaultSimOptions {
   /// learned about it.  Line faults leave the active universe at their
   /// first detecting word (the batched walk refills freed lanes from
   /// pending faults strip by strip); transistor faults stop once every
-  /// observable of their dictionary (PO flip, IDDQ excitation) has fired
-  /// or is impossible.  In kFull detection mode the records are
+  /// observable of their dictionary (PO flip, IDDQ excitation, X at a PO)
+  /// has fired or is impossible.  In kFull detection mode the records are
   /// bit-identical with dropping on or off, so this stays process-local
   /// (not serialized on the shard_io wire), like batch_line_faults.
   bool drop_detected = work_reduction_default();
@@ -125,6 +128,23 @@ struct LineBatchStats {
     words += o.words;
     cpt_faults += o.cpt_faults;
     for (std::size_t k = 0; k < fill.size(); ++k) fill[k] += o.fill[k];
+  }
+};
+
+/// Transistor faults per evaluation path, filled by run_range when a
+/// caller passes a sink (the engine shard loop feeds these into the
+/// `engine.faults_transistor_<path>` counters).  Counted by the path the
+/// dictionary and context select, including faults resolved without a
+/// kernel pass.
+struct TransistorPathStats {
+  std::size_t packed = 0;     ///< binary dictionary, value rail only
+  std::size_t dual_rail = 0;  ///< marginal/floating rows, value + X rails
+  std::size_t scalar = 0;     ///< unpacked (X-bearing) context, serial walk
+
+  void merge(const TransistorPathStats& o) {
+    packed += o.packed;
+    dual_rail += o.dual_rail;
+    scalar += o.scalar;
   }
 };
 
@@ -179,11 +199,13 @@ class FaultSimulator {
   /// shards of a job share one EvalContext instead of re-packing patterns
   /// and re-simulating the good machine per shard.  When `stats` is
   /// non-null and the batched line path runs, its occupancy accounting is
-  /// merged in.
+  /// merged in; when `paths` is non-null, the transistor faults of the
+  /// range are counted per evaluation path.
   [[nodiscard]] std::vector<DetectionRecord> run_range(
       const EvalContext& ctx, const std::vector<Fault>& faults,
       std::size_t begin, std::size_t end, const FaultSimOptions& options = {},
-      LineBatchStats* stats = nullptr) const;
+      LineBatchStats* stats = nullptr,
+      TransistorPathStats* paths = nullptr) const;
 
   /// Single line-fault / single-pattern check (used by ATPG verification).
   [[nodiscard]] bool line_fault_detected(const Fault& fault,
@@ -196,13 +218,14 @@ class FaultSimulator {
                                          const Fault& fault,
                                          std::size_t pattern_index) const;
 
-  /// Serial simulation of one transistor fault over a pattern sequence.
+  /// One transistor fault over a pattern sequence (builds a local
+  /// context, so it takes the same path as a campaign would).
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const Fault& fault, const std::vector<logic::Pattern>& patterns,
       const FaultSimOptions& options = {}) const;
 
-  /// Context-based variant: shares the precomputed good machine; takes the
-  /// packed 64-pattern path when the fault's dictionary allows it.
+  /// Context-based variant: shares the precomputed good machine; runs on
+  /// the planes whenever the context is packed.
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options = {}) const;
@@ -246,6 +269,7 @@ class FaultSimulator {
   struct TransistorScratch {
     std::vector<std::uint64_t> diff;
     std::vector<std::uint64_t> contention;
+    std::vector<std::uint64_t> potential;
     std::vector<std::uint64_t> lanes;
     /// Direct-index memo over (cell kind, transistor, fault kind) for the
     /// context's dictionary lookups: DictionaryCache::lookup takes a
@@ -256,18 +280,21 @@ class FaultSimulator {
   };
 
   /// Dispatching body of simulate_transistor_fault with caller-owned
-  /// scratch (the public overload wraps it with a local set).
+  /// scratch (the public overload wraps it with a local set); counts the
+  /// path taken into `paths` when non-null.
   [[nodiscard]] DetectionRecord simulate_transistor_scratch(
       const EvalContext& ctx, const Fault& fault,
-      const FaultSimOptions& options, TransistorScratch& scratch) const;
+      const FaultSimOptions& options, TransistorScratch& scratch,
+      TransistorPathStats* paths) const;
 
-  /// Serial retained-state transistor path over the context's patterns.
+  /// Serial retained-state transistor path over the context's patterns:
+  /// what an unpacked (X-bearing) context runs.
   [[nodiscard]] DetectionRecord simulate_transistor_serial(
       const EvalContext& ctx, const Fault& fault,
       const gates::FaultAnalysis& fa, const FaultSimOptions& options) const;
 
-  /// Packed transistor path: valid only for dictionaries with all-binary,
-  /// non-floating rows (checked by the caller).
+  /// Plane transistor path for packed contexts: the value rail for binary
+  /// dictionaries, value + X rails for marginal/floating ones.
   [[nodiscard]] DetectionRecord simulate_transistor_packed(
       const EvalContext& ctx, const Fault& fault,
       const gates::FaultAnalysis& fa, const FaultSimOptions& options,

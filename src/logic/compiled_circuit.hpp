@@ -141,8 +141,9 @@ class CompiledCircuit {
   // from plane_stride(): padded to a multiple of kSimdWords so the group
   // kernels have no tail loop (padding words are computed but never read —
   // callers mask by their active words).  Packed contexts are binary-only
-  // (EvalContext falls back to scalar on any X), so there is one value
-  // plane per net and no X plane.
+  // (EvalContext falls back to scalar on any X), so the good machine has
+  // one value plane per net; only the transistor kernel grows an X rail,
+  // privately, over the faulted gate's fan-out cone.
 
   /// Pattern words processed per SIMD step (4 x 64 = 256 patterns).
   static constexpr std::size_t kSimdWords = 4;
@@ -192,16 +193,38 @@ class CompiledCircuit {
                                      std::vector<std::uint64_t>& lane_scratch)
       const;
 
-  /// Plane-wide transistor-fault kernel: eval_packed_faulty over all
-  /// pattern words in kSimdWords groups, sharing the good planes as the
-  /// fault-free prefix.  Writes the per-word PO-difference and contention
-  /// words (unmasked — callers AND with their active words).  No early
-  /// exit: IDDQ-only excitations in late words must still be observed,
-  /// exactly like the per-batch loop it replaces.
+  /// Dual-rail output of a faulted gate carried from the last pattern of
+  /// one eval_packed_faulty_planes call to the first pattern of the next:
+  /// what a floating row retains.  Starts as X, like the scalar path's
+  /// first pattern with no previous state.
+  struct RetainedOutput {
+    bool value = false;
+    bool x = true;
+  };
+
+  /// Plane-wide transistor-fault kernel: `fault_gate` substituted by the
+  /// compiled dictionary `fa` over all pattern words in kSimdWords groups,
+  /// sharing the good planes as the fault-free prefix; only the gate's
+  /// fan-out cone is walked.  Writes, per word (unmasked — callers AND
+  /// with their active words):
+  ///   * `diff` — a definite PO value differs from the good machine;
+  ///   * `contention` — a contention row is excited (the IDDQ observable);
+  ///   * `potential` — X reached a PO (dual-rail dictionaries only).
+  /// Binary dictionaries (fa.compiled_binary) are a table substitution on
+  /// the value rail alone; `potential` and `retained` are ignored and may
+  /// be null.  Otherwise an X rail rides along: marginal rows drive X,
+  /// floating rows retain the gate's own output from the previous pattern
+  /// (threaded through `retained` across calls; a null `retained` makes
+  /// them read X), and cone gates propagate X exactly as good_table does.
+  /// Bit-identical to eval_scalar_faulty pattern by pattern on binary
+  /// inputs.  No early exit: IDDQ-only excitations in late words must
+  /// still be observed.
   void eval_packed_faulty_planes(const std::uint64_t* good_planes,
                                  std::size_t stride, std::size_t n_words,
                                  int fault_gate, const gates::FaultAnalysis& fa,
                                  std::uint64_t* diff, std::uint64_t* contention,
+                                 std::uint64_t* potential,
+                                 RetainedOutput* retained,
                                  std::vector<std::uint64_t>& lane_scratch)
       const;
 

@@ -106,9 +106,11 @@ void eval_faulty_planes_avx512(const CompiledCircuit& cc,
                                std::size_t n_words, int fault_gate,
                                const gates::FaultAnalysis& fa,
                                std::uint64_t* diff, std::uint64_t* contention,
+                               std::uint64_t* potential,
+                               CompiledCircuit::RetainedOutput* retained,
                                std::vector<std::uint64_t>& lane_scratch) {
   eval_faulty_planes_t<M256T>(cc, good, stride, n_words, fault_gate, fa, diff,
-                              contention, lane_scratch);
+                              contention, potential, retained, lane_scratch);
 }
 
 }  // namespace cpsinw::logic::kernels

@@ -364,55 +364,107 @@ std::size_t eval_line_batch_t(const CompiledCircuit& cc,
   return w;
 }
 
-/// Plane-wide transistor kernel: minterm expansion of the compiled
-/// truth/contention masks over kSimdWords words per step.
+/// X rail of eval_cell_vec: a lane's output is X exactly when the binary
+/// completions of its X inputs disagree — eval_cell_x, and so the 4-valued
+/// good tables.  `a`/`b`/`c` are value rails (arbitrary in X lanes),
+/// `xa`/`xb`/`xc` the X rails.  Wherever the result is 0, eval_cell_vec
+/// over the value rails already gives the defined output: an X lane holds
+/// one binary completion, and all completions agree there.
 template <class V>
-void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
-                          std::size_t stride, std::size_t n_words,
-                          int fault_gate, const gates::FaultAnalysis& fa,
-                          std::uint64_t* diff, std::uint64_t* contention,
-                          std::vector<std::uint64_t>& lane_scratch) {
+inline V eval_cell_x_vec(gates::CellKind kind, const V& a, const V& b,
+                         const V& c, const V& xa, const V& xb, const V& xc) {
+  using gates::CellKind;
+  switch (kind) {
+    case CellKind::kInv:
+    case CellKind::kBuf: return xa;
+    // A known 0 (NAND) or known 1 (NOR) on either pin forces the output.
+    case CellKind::kNand2: return (xa | xb) & (a | xa) & (b | xb);
+    case CellKind::kNor2: return (xa | xb) & (~a | xa) & (~b | xb);
+    case CellKind::kXor2: return xa | xb;
+    case CellKind::kXor3: return xa | xb | xc;
+    // Defined exactly when two known pins agree.
+    case CellKind::kMaj3:
+      return (xa | xb | (a ^ b)) & (xa | xc | (a ^ c)) & (xb | xc | (b ^ c));
+  }
+  return V::splat(0);
+}
+
+/// Plane-wide transistor kernel: minterm expansion of the compiled
+/// dictionary at the faulted gate over kSimdWords words per step, then a
+/// walk of its fan-out cone.  kDual adds the X rail that marginal and
+/// floating rows need (contract: CompiledCircuit::eval_packed_faulty_planes);
+/// without it this is the binary table substitution, and `potential` and
+/// `retained` are never touched.
+template <class V, bool kDual>
+void eval_faulty_planes_rails(const CompiledCircuit& cc,
+                              const std::uint64_t* good, std::size_t stride,
+                              std::size_t n_words, int fault_gate,
+                              const gates::FaultAnalysis& fa,
+                              std::uint64_t* diff, std::uint64_t* contention,
+                              std::uint64_t* potential,
+                              CompiledCircuit::RetainedOutput* retained,
+                              std::vector<std::uint64_t>& lane_scratch) {
   constexpr std::size_t kW = CompiledCircuit::kSimdWords;
   // Strip widening: independent word-group chains walked together hide
   // the gate-to-gate latency (a single chain is serial through each cone
   // gate) and amortize the per-fault scalar costs.  Wider than the line
   // kernel's strips because this kernel has no early exit to lose.
   constexpr std::size_t kGroups = 4;
+  // Lane words per cone net: as many word groups as one strip walks, so a
+  // short pattern set (fewer than kGroups groups) gets short rows.
+  const std::size_t row = kW * std::min(kGroups, (n_words + kW - 1) / kW);
   const auto& gates = cc.gates();
   const Circuit& ckt = cc.circuit();
   const std::size_t n_net = static_cast<std::size_t>(ckt.net_count());
   const std::size_t n_po = ckt.primary_outputs().size();
-  // Lane storage for the faulted cone, followed by the cached cone
-  // itself.  The fan-out cone of the faulted gate — which gates diverge,
-  // which of their inputs read lanes vs. good planes, which POs can
-  // differ — is a property of the graph, not of the pattern words, so it
-  // is discovered once (versioned marks + persistent counter) and reused
-  // by every strip and by consecutive faults on the same gate (fault
-  // lists enumerate several transistor faults per gate back to back).
-  // With the cone precomputed the strip walk is branch-free vector work.
+  // Cached cone, then lane storage for it.  The fan-out cone of the
+  // faulted gate — which gates diverge, which of their inputs read lanes
+  // vs. good planes, which POs can differ — is a property of the graph,
+  // not of the pattern words, so it is discovered once (versioned marks +
+  // persistent counter) and reused by every strip and by consecutive
+  // faults on the same gate (fault lists enumerate several transistor
+  // faults per gate back to back).  With the cone precomputed the strip
+  // walk is branch-free vector work.
   //
-  // Layout: [lanes: n_net * kW * kGroups][marks: n_net][counter]
-  //         [cone key][cone length][cone: n_gates][po count][po list]
+  // Layout: [counter][cone key][cone length][po count][fixed size]
+  //         [marks: n_net][slots: n_net][cone: n_gates][po list: n_po]
+  //         [value lanes][X lanes]
+  // Lanes are indexed by cone slot — slot 0 holds the faulted gate's
+  // output, slot i + 1 the output of cone gate i — so one lane row per
+  // rail per cone net is all a fault touches, stored in walk order.  The
+  // lane region only grows, to the largest cone (times two rails once a
+  // dual-rail fault ran) seen by this scratch; the cone cache in front
+  // survives the growth, so binary and dual-rail faults on one gate
+  // share it.
   const std::size_t n_gates = gates.size();
-  const std::size_t lanes_sz = n_net * kW * kGroups;
-  const std::size_t need = lanes_sz + n_net + 4 + n_gates + n_po;
-  if (lane_scratch.size() != need) lane_scratch.assign(need, 0);
-  std::uint64_t* const lv = lane_scratch.data();
-  std::uint64_t* const marks = lv + lanes_sz;
-  std::uint64_t& counter = lv[lanes_sz + n_net];
-  std::uint64_t& cone_key = lv[lanes_sz + n_net + 1];
-  std::uint64_t& cone_len = lv[lanes_sz + n_net + 2];
-  std::uint64_t* const cone = lv + lanes_sz + n_net + 3;
-  std::uint64_t& po_len = cone[n_gates];
-  std::uint64_t* const po_list = cone + n_gates + 1;
+  const std::size_t fixed = 5 + 2 * n_net + n_gates + n_po;
+  if (lane_scratch.size() < fixed || lane_scratch[4] != fixed) {
+    lane_scratch.assign(fixed, 0);
+    lane_scratch[4] = fixed;
+  }
   const std::size_t pos = cc.position_of(fault_gate);
   const CompiledCircuit::GateRec& fg = gates[pos];
   const unsigned combos = 1u << fg.n_in;
-  const unsigned rows = fa.compiled_truth | fa.compiled_contention;
+  unsigned marginal = 0;
+  unsigned floating = 0;
+  if constexpr (kDual) {
+    for (unsigned vec = 0; vec < combos; ++vec) {
+      if (fa.compiled_logic[vec] == -1) marginal |= 1u << vec;
+      if (fa.compiled_logic[vec] == -2) floating |= 1u << vec;
+    }
+  }
+  const unsigned rows =
+      fa.compiled_truth | fa.compiled_contention | marginal | floating;
 
-  if (cone_key != static_cast<std::uint64_t>(fault_gate) + 1) {
-    const std::uint64_t cur = ++counter;  // never reused: marks stay valid
+  if (lane_scratch[1] != static_cast<std::uint64_t>(fault_gate) + 1) {
+    std::uint64_t* const head = lane_scratch.data();
+    std::uint64_t* const marks = head + 5;
+    std::uint64_t* const slot = marks + n_net;
+    std::uint64_t* const cone = slot + n_net;
+    std::uint64_t* const po_list = cone + n_gates;
+    const std::uint64_t cur = ++head[0];  // never reused: marks stay valid
     marks[static_cast<std::size_t>(fg.out)] = cur;
+    slot[static_cast<std::size_t>(fg.out)] = 0;
     std::uint64_t len = 0;
     for (std::size_t k = pos + 1; k < n_gates; ++k) {
       const CompiledCircuit::GateRec& g = gates[k];
@@ -422,16 +474,27 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
           (marks[static_cast<std::size_t>(g.in[2])] == cur ? 4u : 0u);
       if (dmask == 0) continue;  // outside the faulted gate's cone
       marks[static_cast<std::size_t>(g.out)] = cur;
+      slot[static_cast<std::size_t>(g.out)] = len + 1;
       cone[len++] = (static_cast<std::uint64_t>(k) << 3) | dmask;
     }
-    cone_len = len;
+    head[2] = len;
     std::uint64_t plen = 0;
     for (const NetId po : ckt.primary_outputs())
       if (marks[static_cast<std::size_t>(po)] == cur)
         po_list[plen++] = static_cast<std::uint64_t>(po);
-    po_len = plen;
-    cone_key = static_cast<std::uint64_t>(fault_gate) + 1;
+    head[3] = plen;
+    head[1] = static_cast<std::uint64_t>(fault_gate) + 1;
   }
+  const std::size_t cone_len = lane_scratch[2];
+  const std::size_t lanes_sz = (cone_len + 1) * row;
+  const std::size_t need = fixed + (kDual ? 2 : 1) * lanes_sz;
+  if (lane_scratch.size() < need) lane_scratch.resize(need, 0);
+  const std::uint64_t* const slot = lane_scratch.data() + 5 + n_net;
+  const std::uint64_t* const cone = slot + n_net;
+  const std::uint64_t* const po_list = cone + n_gates;
+  const std::size_t po_len = lane_scratch[3];
+  std::uint64_t* const lv = lane_scratch.data() + fixed;
+  std::uint64_t* const lx = lv + lanes_sz;  // X lanes (kDual only)
 
   // Clamped group store: full groups go straight to the output array
   // (shallow cones spend more time extracting than walking, so a scalar
@@ -449,14 +512,46 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
     for (std::size_t j = 0; j < lim; ++j) dst[base + j] = buf[j];
   };
 
+  // Floating rows retain the faulted gate's own output from the previous
+  // pattern: a forward fill of the last driven (value, X) pair along the
+  // pattern sequence, carried word to word and across calls by
+  // `retained`.  Within a word it is a log-step scan — after the step
+  // with shift s every lane holds the last driven lane among the 2s lanes
+  // ending at it, or nothing yet — and lanes still undriven at the end
+  // take the carry.  Padding words past n_words leave the carry alone.
+  const auto retain = [&](V& out, V& xo, const V& flt,
+                          std::size_t base_word) {
+    alignas(32) std::uint64_t vb[kW], xb[kW], fb[kW];
+    V::store(vb, out);
+    V::store(xb, xo);
+    V::store(fb, flt);
+    for (std::size_t j = 0; j < kW && base_word + j < n_words; ++j) {
+      std::uint64_t known = ~fb[j];
+      std::uint64_t v = vb[j] & known;
+      std::uint64_t x = xb[j] & known;
+      for (unsigned s = 1; s < 64; s <<= 1) {
+        v |= (v << s) & ~known;
+        x |= (x << s) & ~known;
+        known |= known << s;
+      }
+      vb[j] = v | (retained->value ? ~known : 0ull);
+      xb[j] = x | (retained->x ? ~known : 0ull);
+      retained->value = (vb[j] >> 63) != 0;
+      retained->x = (xb[j] >> 63) != 0;
+    }
+    out = V::load(vb);
+    xo = V::load(xb);
+  };
+
   // One strip: NW word groups (NW * kW pattern words) walked together.
   // No vector value stays live across the sub-loops (contention is final
-  // at expansion time, PO diffs accumulate per group), so wide strips add
-  // independent chains without spilling registers.
+  // at expansion time, PO results accumulate per group), so wide strips
+  // add independent chains without spilling registers.
   const auto strip = [&]<std::size_t NW>(std::size_t wg) {
     // Faulted gate: its local inputs equal the good machine's (single
     // faulted gate, acyclic circuit — they cannot be in its own cone), so
-    // the contention accumulation is the per-pattern IDDQ excitation mask.
+    // they are binary and the contention accumulation is the per-pattern
+    // IDDQ excitation mask.
     for (std::size_t gi = 0; gi < NW; ++gi) {
       const V in[3] = {
           V::load(good + static_cast<std::size_t>(fg.in[0]) * stride + wg +
@@ -467,6 +562,8 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
                   gi * kW)};
       V out = V::splat(0);
       V cont = V::splat(0);
+      V xo = V::splat(0);
+      V flt = V::splat(0);
       for (unsigned vec = 0; vec < combos; ++vec) {
         if (((rows >> vec) & 1u) == 0) continue;
         V minterm = V::splat(~0ull);
@@ -475,42 +572,78 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
         if (((fa.compiled_truth >> vec) & 1u) != 0) out = out | minterm;
         if (((fa.compiled_contention >> vec) & 1u) != 0)
           cont = cont | minterm;
+        if constexpr (kDual) {
+          if (((marginal >> vec) & 1u) != 0) xo = xo | minterm;
+          if (((floating >> vec) & 1u) != 0) flt = flt | minterm;
+        }
       }
-      V::store(lv + static_cast<std::size_t>(fg.out) * kW * kGroups + gi * kW,
-               out);
+      if constexpr (kDual) {
+        // Without sequence threading a floating output reads X.
+        if (floating != 0) {
+          if (retained == nullptr)
+            xo = xo | flt;
+          else
+            retain(out, xo, flt, wg + gi * kW);
+        }
+        V::store(lx + gi * kW, xo);
+      }
+      V::store(lv + gi * kW, out);
       store_group(contention, wg + gi * kW, cont);
     }
 
     // Cone walk: topological order guarantees every lane slot read below
     // was stored earlier in this strip (by the faulted gate or a cone
-    // predecessor), so no per-gate validity checks remain.
+    // predecessor), so no per-gate validity checks remain.  Inputs read
+    // from the good planes are binary: their X rail is zero.
     for (std::size_t idx = 0; idx < cone_len; ++idx) {
       const std::uint64_t e = cone[idx];
       const CompiledCircuit::GateRec& g = gates[e >> 3];
       const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
       const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
       const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
+      // Lane rows of the diverged inputs (slots are valid only for them).
+      const std::size_t r0 = (e & 1) != 0 ? slot[n0] * row : 0;
+      const std::size_t r1 = (e & 2) != 0 ? slot[n1] * row : 0;
+      const std::size_t r2 = (e & 4) != 0 ? slot[n2] * row : 0;
+      const std::size_t o = (idx + 1) * row;
       for (std::size_t gi = 0; gi < NW; ++gi) {
-        const V a = (e & 1) != 0 ? V::load(lv + n0 * kW * kGroups + gi * kW)
-                                 : V::load(good + n0 * stride + wg + gi * kW);
-        const V b = (e & 2) != 0 ? V::load(lv + n1 * kW * kGroups + gi * kW)
-                                 : V::load(good + n1 * stride + wg + gi * kW);
-        const V c = (e & 4) != 0 ? V::load(lv + n2 * kW * kGroups + gi * kW)
-                                 : V::load(good + n2 * stride + wg + gi * kW);
-        V::store(
-            lv + static_cast<std::size_t>(g.out) * kW * kGroups + gi * kW,
-            eval_cell_vec(g.kind, a, b, c));
+        const std::size_t k = gi * kW;
+        const V a = (e & 1) != 0 ? V::load(lv + r0 + k)
+                                 : V::load(good + n0 * stride + wg + k);
+        const V b = (e & 2) != 0 ? V::load(lv + r1 + k)
+                                 : V::load(good + n1 * stride + wg + k);
+        const V c = (e & 4) != 0 ? V::load(lv + r2 + k)
+                                 : V::load(good + n2 * stride + wg + k);
+        V::store(lv + o + k, eval_cell_vec(g.kind, a, b, c));
+        if constexpr (kDual) {
+          const V zero = V::splat(0);
+          const V xa = (e & 1) != 0 ? V::load(lx + r0 + k) : zero;
+          const V xb = (e & 2) != 0 ? V::load(lx + r1 + k) : zero;
+          const V xc = (e & 4) != 0 ? V::load(lx + r2 + k) : zero;
+          V::store(lx + o + k, eval_cell_x_vec(g.kind, a, b, c, xa, xb, xc));
+        }
       }
     }
 
+    // Cone POs: a definite flip is a detection, an X is a potential one.
     for (std::size_t gi = 0; gi < NW; ++gi) {
       V d = V::splat(0);
+      V p = V::splat(0);
       for (std::size_t i = 0; i < po_len; ++i) {
         const std::size_t n = static_cast<std::size_t>(po_list[i]);
-        d = d | (V::load(lv + n * kW * kGroups + gi * kW) ^
-                 V::load(good + n * stride + wg + gi * kW));
+        const std::size_t r = slot[n] * row + gi * kW;
+        const V flip =
+            V::load(lv + r) ^ V::load(good + n * stride + wg + gi * kW);
+        if constexpr (kDual) {
+          const V x = V::load(lx + r);
+          d = d | (flip & ~x);
+          p = p | x;
+        } else {
+          d = d | flip;
+        }
       }
       store_group(diff, wg + gi * kW, d);
+      if constexpr (kDual) store_group(potential, wg + gi * kW, p);
     }
   };
 
@@ -519,16 +652,32 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
     // kSimdWords-padded plane stride even when the last word group is
     // partial (the extraction loop clamps what is written back).
     switch (std::min(kGroups, (n_words - wg + kW - 1) / kW)) {
-      case 8: strip.template operator()<8>(wg); break;
-      case 7: strip.template operator()<7>(wg); break;
-      case 6: strip.template operator()<6>(wg); break;
-      case 5: strip.template operator()<5>(wg); break;
       case 4: strip.template operator()<4>(wg); break;
       case 3: strip.template operator()<3>(wg); break;
       case 2: strip.template operator()<2>(wg); break;
       default: strip.template operator()<1>(wg); break;
     }
   }
+}
+
+/// Entry shape shared by every backend: binary dictionaries take the
+/// value rail alone, the rest the dual-rail instantiation.
+template <class V>
+void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
+                          std::size_t stride, std::size_t n_words,
+                          int fault_gate, const gates::FaultAnalysis& fa,
+                          std::uint64_t* diff, std::uint64_t* contention,
+                          std::uint64_t* potential,
+                          CompiledCircuit::RetainedOutput* retained,
+                          std::vector<std::uint64_t>& lane_scratch) {
+  if (fa.compiled_binary)
+    eval_faulty_planes_rails<V, false>(cc, good, stride, n_words, fault_gate,
+                                       fa, diff, contention, potential,
+                                       retained, lane_scratch);
+  else
+    eval_faulty_planes_rails<V, true>(cc, good, stride, n_words, fault_gate,
+                                      fa, diff, contention, potential,
+                                      retained, lane_scratch);
 }
 
 // ---- AVX2 entry points (defined in compiled_circuit_avx2.cpp) -------------
@@ -553,6 +702,8 @@ void eval_faulty_planes_avx2(const CompiledCircuit& cc,
                              std::size_t n_words, int fault_gate,
                              const gates::FaultAnalysis& fa,
                              std::uint64_t* diff, std::uint64_t* contention,
+                             std::uint64_t* potential,
+                             CompiledCircuit::RetainedOutput* retained,
                              std::vector<std::uint64_t>& lane_scratch);
 #endif
 
@@ -574,6 +725,8 @@ void eval_faulty_planes_avx512(const CompiledCircuit& cc,
                                std::size_t n_words, int fault_gate,
                                const gates::FaultAnalysis& fa,
                                std::uint64_t* diff, std::uint64_t* contention,
+                               std::uint64_t* potential,
+                               CompiledCircuit::RetainedOutput* retained,
                                std::vector<std::uint64_t>& lane_scratch);
 #endif
 

@@ -164,6 +164,45 @@ TEST(ShardIo, ResultSurvivesARoundTripByteIdentically) {
   EXPECT_TRUE(parsed.results[1].sampled_out);
 }
 
+/// What a worker computes for a parsed document (timing zeroed).
+ShardResult execute(const ShardWorkInput& input) {
+  const faults::EvalContext ctx(input.circuit, input.patterns);
+  ShardResult r = run_shard(ctx, input.faults, input.shard, input.options);
+  r.elapsed_s = 0.0;
+  return r;
+}
+
+// The retired batch_transistor_faults option stays wire-compatible in
+// both directions: documents still carry it as true (older servers read it
+// with at()), and parsing accepts any value — or none — and ignores it.
+TEST(ShardIo, RetiredBatchTransistorKeyIsWrittenAndIgnored) {
+  const Fixture fx(false);
+  const std::string doc = serialize_shard_input(fx.ckt, fx.patterns,
+                                                fx.universe, fx.shard,
+                                                fx.options);
+  const std::string key = "\"batch_transistor_faults\":true,";
+  const std::size_t at = doc.find(key);
+  ASSERT_NE(at, std::string::npos) << "older servers need the key";
+
+  std::string as_false = doc;
+  as_false.replace(at, key.size(), "\"batch_transistor_faults\":false,");
+  std::string absent = doc;
+  absent.erase(at, key.size());
+
+  const ShardResult want = execute(parse_shard_input(doc));
+  for (const std::string& variant : {as_false, absent}) {
+    const ShardWorkInput parsed = parse_shard_input(variant);
+    // Re-serializing restores the canonical document, key included...
+    EXPECT_EQ(serialize_shard_input(parsed.circuit, parsed.patterns,
+                                    parsed.faults, parsed.shard,
+                                    parsed.options),
+              doc);
+    // ...and the shard computes exactly what the canonical one does.
+    EXPECT_EQ(serialize_shard_result(execute(parsed)),
+              serialize_shard_result(want));
+  }
+}
+
 TEST(ShardIo, MalformedDocumentsThrowInsteadOfMisbehaving) {
   const Fixture fx;
   const std::string doc = serialize_shard_input(fx.ckt, fx.patterns,

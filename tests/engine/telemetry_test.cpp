@@ -16,6 +16,7 @@
 #include "engine/remote_executor.hpp"
 #include "engine/shard_io.hpp"
 #include "engine/telemetry.hpp"
+#include "gates/dictionary_cache.hpp"
 #include "logic/benchmarks.hpp"
 #include "remote_test_util.hpp"
 #include "util/log.hpp"
@@ -338,6 +339,65 @@ TEST(StatsIo, QueryRefusedEndpointFailsCleanly) {
   EXPECT_FALSE(query_server_stats(test_util::refused_endpoint(), 2.0, &stats,
                                   &error));
   EXPECT_FALSE(error.empty());
+}
+
+// ------------------------------------------------- fault-path counters
+
+std::uint64_t global_counter(const std::string& name) {
+  const telemetry::RegistrySnapshot snap =
+      telemetry::Registry::global().snapshot();
+  const telemetry::CounterValue* c = snap.find_counter(name);
+  return c != nullptr ? c->value : 0;
+}
+
+TEST(ShardTelemetry, TransistorFaultsCountedOncePerPath) {
+  // c17 is NAND-only: its polarity and stuck-on dictionaries are binary,
+  // its stuck-opens float — both plane shapes are in play.
+  const logic::Circuit ckt = logic::c17();
+  FaultModelSelection models;
+  models.line_stuck_at = false;
+  const std::vector<CampaignFault> universe = build_universe(ckt, models);
+  std::size_t binary = 0;
+  std::size_t dual = 0;
+  for (const CampaignFault& f : universe) {
+    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
+        ckt.gate(f.fault.gate).kind, f.fault.cell_fault);
+    fa.compiled_binary ? ++binary : ++dual;
+  }
+  ASSERT_GT(binary, 0u);
+  ASSERT_GT(dual, 0u);
+
+  Shard shard;
+  shard.begin = 0;
+  shard.end = universe.size();
+  const char* const kPaths[] = {"engine.faults_transistor_packed",
+                                "engine.faults_transistor_dual_rail",
+                                "engine.faults_transistor_scalar"};
+  const auto deltas = [&](const std::vector<logic::Pattern>& patterns) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : kPaths) before.push_back(global_counter(name));
+    (void)run_shard(ckt, universe, patterns, shard, {});
+    std::vector<std::uint64_t> out;
+    for (std::size_t k = 0; k < 3; ++k)
+      out.push_back(global_counter(kPaths[k]) - before[k]);
+    return out;
+  };
+
+  std::vector<logic::Pattern> patterns;
+  for (unsigned v = 0; v < 32; ++v) {
+    logic::Pattern p(ckt.primary_inputs().size());
+    for (std::size_t i = 0; i < p.size(); ++i)
+      p[i] = logic::from_bool(((v >> i) & 1u) != 0);
+    patterns.push_back(std::move(p));
+  }
+  EXPECT_EQ(deltas(patterns),
+            (std::vector<std::uint64_t>{binary, dual, 0}));
+
+  // One X anywhere keeps the context unpacked: every transistor fault
+  // takes the serial scalar walk.
+  patterns[3][1] = logic::LogicV::kX;
+  EXPECT_EQ(deltas(patterns),
+            (std::vector<std::uint64_t>{0, 0, binary + dual}));
 }
 
 // ----------------------------------------------- stable-JSON preservation

@@ -1,7 +1,7 @@
 // Golden-equivalence suite for the shared evaluation context: the
-// context-based run/run_range paths — including the packed 64-pattern
-// transistor batch — must be bit-identical to the seed's serial
-// algorithm, re-implemented here verbatim as the reference.
+// context-based run/run_range paths — including the plane transistor
+// kernel on both rails — must be bit-identical to the seed's serial
+// algorithm (serial_oracle.hpp).
 #include "faults/eval_context.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "faults/fault_sim.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
+#include "serial_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cpsinw::faults {
@@ -17,6 +18,7 @@ namespace {
 
 using logic::LogicV;
 using logic::Pattern;
+using test::reference_transistor;
 
 std::vector<Pattern> random_patterns(const logic::Circuit& ckt, int count,
                                      std::uint64_t seed) {
@@ -28,48 +30,6 @@ std::vector<Pattern> random_patterns(const logic::Circuit& ckt, int count,
     out.push_back(std::move(p));
   }
   return out;
-}
-
-/// The seed's serial transistor-fault algorithm, verbatim: scalar good
-/// machine per pattern, ad-hoc analyze_fault, retained-state threading.
-DetectionRecord reference_transistor(const logic::Circuit& ckt,
-                                     const Fault& fault,
-                                     const std::vector<Pattern>& patterns,
-                                     const FaultSimOptions& options) {
-  const logic::Simulator sim(ckt);
-  const logic::GateFault gf{fault.gate, fault.cell_fault};
-  const gates::FaultAnalysis fa =
-      gates::analyze_fault(ckt.gate(fault.gate).kind, fault.cell_fault);
-
-  DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const Pattern& p = patterns[pi];
-    const logic::SimResult good = sim.simulate(p);
-    const logic::SimResult bad = sim.simulate_faulty_with(
-        p, gf, fa, options.sequential_patterns && !state.empty() ? &state
-                                                                 : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const logic::NetId po : ckt.primary_outputs()) {
-      const LogicV g = good.value(po);
-      const LogicV b = bad.value(po);
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0)
-      rec.first_pattern = static_cast<int>(pi);
-  }
-  return rec;
 }
 
 /// Reference for line faults: the untouched single-pattern check, one
@@ -154,32 +114,36 @@ TEST(EvalContext, RunMatchesSeedSerialReferenceForAllFaultClasses) {
   }
 }
 
-TEST(EvalContext, PackedTransistorBatchIsBitIdenticalToSerialPath) {
+TEST(EvalContext, BothTransistorRailShapesMatchSerialOracle) {
   for (const Workload& w : workloads()) {
     const FaultSimulator fsim(w.ckt);
     const EvalContext ctx(w.ckt, w.patterns);
 
-    // The universe must actually exercise both paths.
-    int packed_eligible = 0, serial_only = 0;
+    // The universe must actually exercise both plane paths: binary
+    // dictionaries on the value rail, marginal/floating ones on dual rails.
+    int binary = 0, dual = 0;
     for (const Fault& f : w.faults) {
       if (f.site != FaultSite::kGateTransistor) continue;
       const gates::FaultAnalysis& fa =
           ctx.dictionary(w.ckt.gate(f.gate).kind, f.cell_fault);
-      (!fa.needs_sequence && !fa.marginal_detectable) ? ++packed_eligible
-                                                      : ++serial_only;
+      fa.compiled_binary ? ++binary : ++dual;
     }
-    ASSERT_GT(packed_eligible, 0) << w.name;
-    ASSERT_GT(serial_only, 0) << w.name;
+    ASSERT_GT(binary, 0) << w.name;
+    ASSERT_GT(dual, 0) << w.name;
 
-    FaultSimOptions batched;
-    FaultSimOptions serial;
-    serial.batch_transistor_faults = false;
-    const FaultSimReport a = fsim.run(ctx, w.faults, batched);
-    const FaultSimReport b = fsim.run(ctx, w.faults, serial);
-    ASSERT_EQ(a.records.size(), b.records.size());
-    for (std::size_t fi = 0; fi < a.records.size(); ++fi)
-      expect_record_eq(a.records[fi], b.records[fi],
+    TransistorPathStats paths;
+    const std::vector<DetectionRecord> got =
+        fsim.run_range(ctx, w.faults, 0, w.faults.size(), {}, nullptr, &paths);
+    EXPECT_EQ(paths.packed, static_cast<std::size_t>(binary)) << w.name;
+    EXPECT_EQ(paths.dual_rail, static_cast<std::size_t>(dual)) << w.name;
+    EXPECT_EQ(paths.scalar, 0u) << w.name;
+    for (std::size_t fi = 0; fi < w.faults.size(); ++fi) {
+      if (w.faults[fi].site != FaultSite::kGateTransistor) continue;
+      expect_record_eq(got[fi],
+                       reference_transistor(w.ckt, w.faults[fi], w.patterns,
+                                            {}),
                        w.name + " fault " + std::to_string(fi));
+    }
   }
 }
 
@@ -229,19 +193,16 @@ TEST(EvalContext, TwoPatternStuckOpenSequencesRetainState) {
       if (r.status != atpg::AtpgStatus::kDetected || !r.test) continue;
       ++verified;
       // The (init, test) retention sequence must detect through the
-      // context path exactly as through the seed serial check, with
-      // batching enabled and disabled (floating dictionaries always take
-      // the retained-state serial path).
-      const EvalContext ctx(ckt, {r.test->init, r.test->test});
-      for (const bool batching : {true, false}) {
-        FaultSimOptions opt;
-        opt.batch_transistor_faults = batching;
-        const FaultSimReport rep = fsim.run(ctx, {f}, opt);
-        EXPECT_TRUE(rep.records[0].detected_output)
-            << g.name << ".t" << t << " batching=" << batching;
-        EXPECT_EQ(rep.records[0].first_pattern, 1)
-            << g.name << ".t" << t << " batching=" << batching;
-      }
+      // context path (the dual-rail planes: floating dictionaries) exactly
+      // as through the seed serial check.
+      const std::vector<Pattern> seq = {r.test->init, r.test->test};
+      const EvalContext ctx(ckt, seq);
+      ASSERT_TRUE(ctx.packed());
+      const FaultSimReport got = fsim.run(ctx, {f}, {});
+      EXPECT_TRUE(got.records[0].detected_output) << g.name << ".t" << t;
+      EXPECT_EQ(got.records[0].first_pattern, 1) << g.name << ".t" << t;
+      expect_record_eq(got.records[0], reference_transistor(ckt, f, seq, {}),
+                       g.name + ".t" + std::to_string(t));
       // Without sequence threading the retained value is lost: the same
       // two patterns must not report a definite output detection.
       FaultSimOptions no_seq;

@@ -1,8 +1,9 @@
 // Work-reduction equivalence suite: fault dropping and critical-path
 // tracing must be invisible in full detection mode (bit-identical records
 // with every switch combination), the first-only detection mode must be a
-// well-defined truncation contract that serial and packed paths agree on,
-// and sampled-coverage accounting must survive shard failures.
+// well-defined truncation contract that the plane paths and the serial
+// oracle agree on, and sampled-coverage accounting must survive shard
+// failures.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
 #include "logic/benchmarks.hpp"
+#include "serial_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cpsinw::faults {
@@ -141,7 +143,7 @@ TEST(WorkReduction, CriticalPathTracingQualificationAndStats) {
 
 // First-only mode: a fault's record equals the full-mode record of the
 // pattern list truncated right after the full-mode first_pattern — and the
-// serial and packed transistor paths agree on it.
+// plane transistor paths agree with the serial oracle on it.
 TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndPathsAgree) {
   for (const Named& w : roster()) {
     const auto patterns = random_patterns(w.ckt, 130, 23);
@@ -156,18 +158,23 @@ TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndPathsAgree) {
       full.observe_iddq = iddq;
       FaultSimOptions first = full;
       first.detection_mode = DetectionMode::kFirstOnly;
-      FaultSimOptions first_serial = first;
-      first_serial.batch_transistor_faults = false;
-      first_serial.batch_line_faults = false;
-      first_serial.drop_detected = false;
-      first_serial.critical_path_tracing = false;
+      FaultSimOptions first_single = first;
+      first_single.batch_line_faults = false;
+      first_single.drop_detected = false;
+      first_single.critical_path_tracing = false;
 
       const auto full_rec =
           fsim.run_range(ctx, universe, 0, universe.size(), full);
       const auto got =
           fsim.run_range(ctx, universe, 0, universe.size(), first);
-      const auto serial =
-          fsim.run_range(ctx, universe, 0, universe.size(), first_serial);
+      // Reference: the single-fault line walk, and for transistor faults
+      // the serial oracle.
+      auto serial =
+          fsim.run_range(ctx, universe, 0, universe.size(), first_single);
+      for (std::size_t i = 0; i < universe.size(); ++i)
+        if (universe[i].site == FaultSite::kGateTransistor)
+          serial[i] =
+              test::reference_transistor(w.ckt, universe[i], patterns, first);
 
       for (std::size_t i = 0; i < universe.size(); ++i) {
         const std::string label = w.name + " iddq=" + std::to_string(iddq) +

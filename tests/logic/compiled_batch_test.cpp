@@ -22,6 +22,7 @@
 #include "logic/compiled_circuit.hpp"
 #include "logic/logic_sim.hpp"
 #include "logic/simd.hpp"
+#include "../faults/serial_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cpsinw::logic {
@@ -272,12 +273,17 @@ TEST(CompiledBatch, ShardResultsIdenticalWithBatchingToggledAllClasses) {
     batched.sim.batch_line_faults = true;
     engine::ShardExecOptions single;
     single.sim.batch_line_faults = false;
-    single.sim.batch_transistor_faults = false;
 
     const auto got = engine::run_shard(w.ckt, universe, patterns, shard,
                                        batched);
-    const auto ref = engine::run_shard(w.ckt, universe, patterns, shard,
-                                       single);
+    // Reference: the single-fault line walk, and for transistor faults
+    // the serial oracle.
+    auto ref = engine::run_shard(w.ckt, universe, patterns, shard, single);
+    for (std::size_t i = 0; i < universe.size(); ++i)
+      if (universe[i].cls != engine::FaultClass::kBridge &&
+          universe[i].fault.site == FaultSite::kGateTransistor)
+        ref.results[i].record = faults::test::reference_transistor(
+            w.ckt, universe[i].fault, patterns, single.sim);
     ASSERT_EQ(got.results.size(), ref.results.size());
     for (std::size_t i = 0; i < got.results.size(); ++i)
       expect_record_eq(got.results[i].record, ref.results[i].record,
