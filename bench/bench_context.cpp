@@ -17,12 +17,13 @@
 //     bit-identically.  Gate: >= 1.5x at 1 thread on the roster.
 //
 //  3. "batched" (a sub-object of BENCH_compiled.json): the vectorized-core
-//     win on top of the compiled core.  "before" is the PR-5 single-fault
-//     packed path (batch_line_faults=false: one eval_packed_line walk per
-//     fault per 64-pattern word); "after" is the multi-fault batch kernel
-//     (kBatchLanes faults share one suffix walk over kSimdWords-wide plane
-//     groups), measured once with the portable uint64x4 backend and once
-//     with whatever SIMD backend this build selected.  Gates: batched
+//     win on top of the compiled core.  "before" is the pr5:: replica of
+//     the single-fault packed path (one word-at-a-time circuit walk per
+//     fault per 64-pattern batch, over array-of-structs batches); "after"
+//     is the pr7:: driver over the multi-fault batch kernel (kBatchLanes
+//     faults share one suffix walk over kSimdWords-wide plane groups) with
+//     no work reduction, measured once with the portable uint64x4 backend
+//     and once with whatever SIMD backend this build selected.  Gates: batched
 //     portable >= 2x over single-fault; SIMD >= 1.15x over portable where
 //     a vector backend is compiled in (the ratio shrinks whenever the
 //     portable path gets faster — it dropped from ~1.33x to ~1.2x when the
@@ -30,9 +31,10 @@
 //     so the gate only guards against the backend losing its edge
 //     outright).  All three paths bit-identical.
 //
-//  4. "dropping" (a sub-object of BENCH_compiled.json): the work-reduction
-//     layer (fault dropping + critical-path tracing) vs the PR-7 batched
-//     path, same universe, bit-identical records required.  Gate: >= 1.5x.
+//  4. "dropping" (a sub-object of BENCH_compiled.json): the library, with
+//     its always-on work reduction (fault dropping + critical-path
+//     tracing), vs the pr7:: driver, same universe, bit-identical records
+//     required.  Gate: >= 1.5x.
 //
 //  5. "large_circuit" (a sub-object of BENCH_compiled.json): the first
 //     circuit-scale leg — alu_array(64) exported to `.bench` and
@@ -41,8 +43,8 @@
 //     output, not the generator's.  Checks: parsed circuit functionally
 //     matches the generator; a five-class fault campaign (line stuck-at,
 //     both polarity faults, stuck-open, stuck-on) produces byte-identical
-//     stable JSON at 1, 2, and 8 threads; and the batched line kernel
-//     holds its >= 1.5x win over the single-fault walk at this scale.
+//     stable JSON at 1, 2, and 8 threads; and the pr7:: batched driver
+//     holds its >= 1.5x win over the pr5:: single-fault walk at this scale.
 //
 //  6. "end_to_end" (a sub-object of BENCH_compiled.json): that same
 //     five-class campaign timed whole at 1 thread, run_campaign against a
@@ -51,17 +53,21 @@
 //     which dominated its wall time).  Gate: >= 10x with byte-identical
 //     stable JSON.
 //
-// The last line printed is the concatenation marker-free JSON object of
-// the *compiled* leg (with the batched sub-object merged in); both
-// objects are written to their BENCH_*.json.
+// Legs 1 and 2 time the library as shipped, so their "after" includes the
+// work reduction that legs 3 and 5 keep out.  The last line printed is the
+// JSON object of the *compiled* leg (with the other legs merged in as
+// sub-objects); both objects carry the host fingerprint and are written to
+// their BENCH_*.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "engine/campaign.hpp"
 #include "faults/eval_context.hpp"
 #include "faults/fault_sim.hpp"
@@ -70,6 +76,7 @@
 #include "logic/benchmarks.hpp"
 #include "logic/simd.hpp"
 #include "util/rng.hpp"
+#include "../tests/faults/serial_oracle.hpp"
 
 namespace {
 
@@ -80,17 +87,7 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-std::vector<logic::Pattern> random_patterns(const logic::Circuit& ckt,
-                                            int count, std::uint64_t seed) {
-  util::SplitMix64 rng(seed);
-  std::vector<logic::Pattern> out;
-  for (int k = 0; k < count; ++k) {
-    logic::Pattern p(ckt.primary_inputs().size());
-    for (logic::LogicV& v : p) v = logic::from_bool(rng.chance(0.5));
-    out.push_back(std::move(p));
-  }
-  return out;
-}
+using faults::test::random_patterns;
 
 bool records_identical(const faults::DetectionRecord& a,
                        const faults::DetectionRecord& b) {
@@ -99,10 +96,79 @@ bool records_identical(const faults::DetectionRecord& a,
          a.first_pattern == b.first_pattern;
 }
 
+/// Per-pass wall times of competing paths.  One pass of paths[pilot]
+/// calibrates a repetition count so small circuits (c17 is 6 gates)
+/// measure well above timer resolution; the paths then interleave over
+/// nine rounds and each keeps its minimum: this box shows 2x wall-clock
+/// swings between back-to-back identical runs, and the minimum of
+/// interleaved blocks is the standard noise-resistant estimate of
+/// uncontended cost.
+struct Timing {
+  int reps = 1;
+  std::vector<double> best_s;  ///< parallel to the paths
+};
+
+Timing time_interleaved(const std::vector<std::function<void()>>& paths,
+                        std::size_t pilot = 0) {
+  auto t0 = Clock::now();
+  paths[pilot]();
+  const double pilot_s = seconds_since(t0);
+  Timing t;
+  t.reps = std::max(
+      1, static_cast<int>(std::ceil(0.03 / std::max(pilot_s, 1e-7))));
+  t.best_s.assign(paths.size(), 1e30);
+  for (int round = 0; round < 9; ++round)
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      t0 = Clock::now();
+      for (int r = 0; r < t.reps; ++r) paths[i]();
+      t.best_s[i] = std::min(t.best_s[i], seconds_since(t0) / t.reps);
+    }
+  return t;
+}
+
+/// The serial transistor-fault record, pattern by pattern with the whole
+/// net vector retained: `good(pi)` and `bad(pi, previous_state)` supply the
+/// two machines, so each replica below keeps its own evaluation cost.
+template <class Good, class Bad>
+faults::DetectionRecord serial_record(const logic::Circuit& ckt,
+                                      std::size_t n_patterns, Good good,
+                                      Bad bad,
+                                      const faults::FaultSimOptions& opt) {
+  faults::DetectionRecord rec;
+  std::vector<logic::LogicV> state;
+  for (std::size_t pi = 0; pi < n_patterns; ++pi) {
+    const logic::SimResult& g_res = good(pi);
+    const logic::SimResult b_res = bad(
+        pi, opt.sequential_patterns && !state.empty() ? &state : nullptr);
+    if (opt.sequential_patterns) state = b_res.net_values;
+
+    bool hit = false;
+    if (b_res.iddq_flag && opt.observe_iddq) {
+      rec.detected_iddq = true;
+      hit = true;
+    }
+    for (const logic::NetId po : ckt.primary_outputs()) {
+      const logic::LogicV g = g_res.value(po);
+      const logic::LogicV b = b_res.value(po);
+      if (is_binary(g) && is_binary(b) && g != b) {
+        rec.detected_output = true;
+        hit = true;
+      } else if (is_binary(g) && !is_binary(b)) {
+        rec.potential = true;
+      }
+    }
+    if (hit && rec.first_pattern < 0) rec.first_pattern = static_cast<int>(pi);
+    if (rec.first_pattern >= 0 &&
+        opt.detection_mode == faults::DetectionMode::kFirstOnly)
+      break;
+  }
+  return rec;
+}
+
 // ---------------------------------------------------------------------------
-// Interpreted reference evaluators: the pre-compiled-core library
-// algorithms, frozen (the library itself now runs the table-driven
-// kernels, so the interpreted walk lives here).
+// The PR-2-era engine, interpreted: the pre-compiled-core library
+// algorithms, frozen over the seed evaluators the equivalence suites pin
+// the library against (tests/faults/serial_oracle.hpp).
 namespace interp {
 
 using logic::Circuit;
@@ -112,111 +178,9 @@ using logic::NetId;
 using logic::Pattern;
 using logic::SimResult;
 
-std::vector<LogicV> seed_values(const Circuit& ckt, const Pattern& pattern) {
-  std::vector<LogicV> values(static_cast<std::size_t>(ckt.net_count()),
-                             LogicV::kX);
-  for (NetId n = 0; n < ckt.net_count(); ++n) {
-    const LogicV c = ckt.constant_of(n);
-    if (is_binary(c)) values[static_cast<std::size_t>(n)] = c;
-  }
-  for (std::size_t i = 0; i < pattern.size(); ++i)
-    values[static_cast<std::size_t>(ckt.primary_inputs()[i])] = pattern[i];
-  return values;
-}
-
-LogicV eval_gate(const GateInst& g, const std::vector<LogicV>& values) {
-  const auto bits = logic::Simulator::local_input(g, values);
-  if (!bits) {
-    const auto in_at = [&](int i) {
-      return g.in[static_cast<std::size_t>(i)] >= 0
-                 ? values[static_cast<std::size_t>(
-                       g.in[static_cast<std::size_t>(i)])]
-                 : LogicV::kX;
-    };
-    return logic::eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
-  }
-  return logic::from_bool(gates::good_output(g.kind, *bits) != 0);
-}
-
-SimResult simulate(const Circuit& ckt, const Pattern& pattern) {
-  SimResult r;
-  r.net_values = seed_values(ckt, pattern);
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    r.net_values[static_cast<std::size_t>(g.out)] = eval_gate(g, r.net_values);
-  }
-  return r;
-}
-
-SimResult simulate_faulty(const Circuit& ckt, const Pattern& pattern,
-                          int fault_gate, const gates::FaultAnalysis& fa,
-                          const std::vector<LogicV>* previous_state) {
-  SimResult r;
-  r.net_values = seed_values(ckt, pattern);
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    if (gid != fault_gate) {
-      r.net_values[static_cast<std::size_t>(g.out)] =
-          eval_gate(g, r.net_values);
-      continue;
-    }
-    const auto bits = logic::Simulator::local_input(g, r.net_values);
-    if (!bits) {
-      r.net_values[static_cast<std::size_t>(g.out)] = LogicV::kX;
-      continue;
-    }
-    const gates::FaultRow& row = fa.rows[*bits];
-    if (row.faulty.contention) r.iddq_flag = true;
-    const int fv =
-        row.faulty.floating ? -2 : gates::logic_value(row.faulty.out);
-    LogicV out = LogicV::kX;
-    if (fv == 0) {
-      out = LogicV::k0;
-    } else if (fv == 1) {
-      out = LogicV::k1;
-    } else if (fv == -2) {
-      out = previous_state != nullptr
-                ? (*previous_state)[static_cast<std::size_t>(g.out)]
-                : LogicV::kX;
-      if (out == LogicV::kZ) out = LogicV::kX;
-    }
-    r.net_values[static_cast<std::size_t>(g.out)] = out;
-  }
-  return r;
-}
-
-std::vector<std::uint64_t> packed_line(const Circuit& ckt,
-                                       const std::vector<std::uint64_t>& pi,
-                                       const faults::Fault& fault) {
-  std::vector<std::uint64_t> values(
-      static_cast<std::size_t>(ckt.net_count()), 0);
-  for (NetId n = 0; n < ckt.net_count(); ++n)
-    if (ckt.constant_of(n) == LogicV::k1)
-      values[static_cast<std::size_t>(n)] = ~0ull;
-  for (std::size_t i = 0; i < pi.size(); ++i)
-    values[static_cast<std::size_t>(ckt.primary_inputs()[i])] = pi[i];
-
-  const std::uint64_t forced = fault.stuck_at_one ? ~0ull : 0ull;
-  if (fault.site == faults::FaultSite::kNet)
-    values[static_cast<std::size_t>(fault.net)] = forced;
-
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    std::uint64_t in[3] = {0, 0, 0};
-    for (int i = 0; i < g.input_count(); ++i) {
-      in[i] =
-          values[static_cast<std::size_t>(g.in[static_cast<std::size_t>(i)])];
-      if (fault.site == faults::FaultSite::kGateInput && fault.gate == gid &&
-          fault.pin == i)
-        in[i] = forced;
-    }
-    std::uint64_t out = logic::eval_cell_packed(g.kind, in[0], in[1], in[2]);
-    if (fault.site == faults::FaultSite::kNet && g.out == fault.net)
-      out = forced;
-    values[static_cast<std::size_t>(g.out)] = out;
-  }
-  return values;
-}
+using faults::test::interp::packed_line;
+using faults::test::interp::simulate;
+using faults::test::interp::simulate_faulty;
 
 /// Interpreted replica of the PR-2 context: packed batches built by the
 /// interpreted simulate_packed, scalar goods by the interpreted simulator,
@@ -258,33 +222,13 @@ faults::DetectionRecord transistor_serial(const Circuit& ckt,
                                           const faults::Fault& fault,
                                           const gates::FaultAnalysis& fa,
                                           const faults::FaultSimOptions& opt) {
-  faults::DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < ctx.patterns.size(); ++pi) {
-    const SimResult& good = ctx.good[pi];
-    const SimResult bad = simulate_faulty(
-        ckt, ctx.patterns[pi], fault.gate, fa,
-        opt.sequential_patterns && !state.empty() ? &state : nullptr);
-    if (opt.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && opt.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const NetId po : ckt.primary_outputs()) {
-      const LogicV g = good.net_values[static_cast<std::size_t>(po)];
-      const LogicV b = bad.net_values[static_cast<std::size_t>(po)];
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0) rec.first_pattern = static_cast<int>(pi);
-  }
-  return rec;
+  return serial_record(
+      ckt, ctx.patterns.size(),
+      [&](std::size_t pi) -> const SimResult& { return ctx.good[pi]; },
+      [&](std::size_t pi, const std::vector<LogicV>* state) {
+        return simulate_faulty(ckt, ctx.patterns[pi], fault.gate, fa, state);
+      },
+      opt);
 }
 
 faults::DetectionRecord transistor_packed(const Circuit& ckt,
@@ -388,6 +332,305 @@ std::vector<faults::DetectionRecord> run_range(
 }  // namespace interp
 
 // ---------------------------------------------------------------------------
+// Frozen PR-5 fault simulation: the word-at-a-time packed path the
+// vectorized core replaced.  Array-of-structs batches (one PI word per
+// input per 64 patterns) and single-word kernels over the compiled gate
+// records: one whole-circuit walk per fault per batch, a line fault
+// dropped once detected, a binary transistor dictionary substituted as
+// minterm masks.  The library keeps only the SoA planes, so the replica
+// lives here, built on CompiledCircuit's public records.
+namespace pr5 {
+
+using logic::CompiledCircuit;
+using logic::NetId;
+
+struct Batch {
+  std::size_t base = 0;
+  std::uint64_t active = 0;
+  std::vector<std::uint64_t> pi_words;  ///< per PI (pack_patterns order)
+};
+
+std::vector<Batch> make_batches(const logic::Circuit& ckt,
+                                const std::vector<logic::Pattern>& ps) {
+  std::vector<Batch> out;
+  for (std::size_t base = 0; base < ps.size(); base += 64) {
+    const std::size_t count = std::min<std::size_t>(64, ps.size() - base);
+    Batch b;
+    b.base = base;
+    b.active = count == 64 ? ~0ull : ((1ull << count) - 1ull);
+    b.pi_words = logic::pack_patterns(
+        ckt, {ps.begin() + static_cast<long>(base),
+              ps.begin() + static_cast<long>(base + count)});
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+/// The compiled records and constant-1 slots, held by value as the PR-5
+/// kernels held them.
+struct Kernels {
+  const CompiledCircuit& cc;
+  std::vector<CompiledCircuit::GateRec> gates;
+  std::vector<NetId> const_one;
+
+  explicit Kernels(const CompiledCircuit& c) : cc(c), gates(c.gates()) {
+    for (NetId n = 0; n < cc.circuit().net_count(); ++n)
+      if (cc.circuit().constant_of(n) == logic::LogicV::k1)
+        const_one.push_back(n);
+  }
+
+  void init(const std::vector<std::uint64_t>& pi_words,
+            std::vector<std::uint64_t>& values) const {
+    values.assign(static_cast<std::size_t>(cc.circuit().net_count()), 0);
+    for (const NetId n : const_one)
+      values[static_cast<std::size_t>(n)] = ~0ull;
+    const std::vector<NetId>& pis = cc.circuit().primary_inputs();
+    for (std::size_t i = 0; i < pi_words.size(); ++i)
+      values[static_cast<std::size_t>(pis[i])] = pi_words[i];
+  }
+
+  void eval_range(std::uint64_t* v, std::size_t from, std::size_t to) const {
+    for (std::size_t k = from; k < to; ++k) {
+      const CompiledCircuit::GateRec& g = gates[k];
+      v[g.out] = logic::eval_cell_packed(g.kind, v[g.in[0]], v[g.in[1]],
+                                         v[g.in[2]]);
+    }
+  }
+
+  /// One line forced: a stem skips its driver, a branch overrides one pin.
+  void eval_line(std::vector<std::uint64_t>& values,
+                 const CompiledCircuit::LineFault& fault) const {
+    std::uint64_t* const v = values.data();
+    const std::size_t n_gates = gates.size();
+    const std::uint64_t forced = fault.stuck_one ? ~0ull : 0ull;
+    if (fault.net >= 0) {
+      v[fault.net] = forced;
+      const int driver = cc.circuit().driver_of(fault.net);
+      if (driver < 0) return eval_range(v, 0, n_gates);
+      const std::size_t pos = cc.position_of(driver);
+      eval_range(v, 0, pos);
+      return eval_range(v, pos + 1, n_gates);
+    }
+    const std::size_t pos = cc.position_of(fault.gate);
+    eval_range(v, 0, pos);
+    const CompiledCircuit::GateRec& g = gates[pos];
+    std::uint64_t in[3] = {v[g.in[0]], v[g.in[1]], v[g.in[2]]};
+    in[fault.pin] = forced;
+    v[g.out] = logic::eval_cell_packed(g.kind, in[0], in[1], in[2]);
+    eval_range(v, pos + 1, n_gates);
+  }
+
+  /// `fault_gate` substituted by the binary dictionary's truth and
+  /// contention masks; returns the contention word.
+  std::uint64_t eval_faulty(std::vector<std::uint64_t>& values,
+                            int fault_gate,
+                            const gates::FaultAnalysis& fa) const {
+    std::uint64_t* const v = values.data();
+    const std::size_t pos = cc.position_of(fault_gate);
+    eval_range(v, 0, pos);
+    const CompiledCircuit::GateRec& g = gates[pos];
+    const std::uint64_t in[3] = {v[g.in[0]], v[g.in[1]], v[g.in[2]]};
+    std::uint64_t out = 0;
+    std::uint64_t contention = 0;
+    const unsigned rows = fa.compiled_truth | fa.compiled_contention;
+    for (unsigned vec = 0; vec < (1u << g.n_in); ++vec) {
+      if (((rows >> vec) & 1u) == 0) continue;
+      std::uint64_t minterm = ~0ull;
+      for (unsigned i = 0; i < g.n_in; ++i)
+        minterm &= ((vec >> i) & 1u) != 0 ? in[i] : ~in[i];
+      if (((fa.compiled_truth >> vec) & 1u) != 0) out |= minterm;
+      if (((fa.compiled_contention >> vec) & 1u) != 0) contention |= minterm;
+    }
+    v[g.out] = out;
+    eval_range(v, pos + 1, gates.size());
+    return contention;
+  }
+};
+
+/// The PR-5 run_range over a universe of line faults and binary-dictionary
+/// transistor faults (full detection mode, no X patterns).  Good outputs
+/// come from the context's planes, as PR-5's batches carried them.
+std::vector<faults::DetectionRecord> run_range(
+    const Kernels& k, const faults::EvalContext& ctx,
+    const std::vector<Batch>& batches,
+    const std::vector<faults::Fault>& universe,
+    const faults::FaultSimOptions& opt) {
+  const logic::Circuit& ckt = k.cc.circuit();
+  std::vector<faults::DetectionRecord> records(universe.size());
+  std::vector<std::uint64_t> values;
+  const auto po_diff = [&](std::size_t bi) {
+    std::uint64_t diff = 0;
+    for (const NetId po : ckt.primary_outputs())
+      diff |= ctx.good_plane(po)[bi] ^ values[static_cast<std::size_t>(po)];
+    return diff & batches[bi].active;
+  };
+  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+    for (std::size_t fi = 0; fi < universe.size(); ++fi) {
+      const faults::Fault& f = universe[fi];
+      if (f.site == faults::FaultSite::kGateTransistor) continue;
+      faults::DetectionRecord& rec = records[fi];
+      if (rec.detected_output) continue;  // fault dropping
+      k.init(batches[bi].pi_words, values);
+      k.eval_line(values, faults::checked_line_fault(ckt, f));
+      const std::uint64_t diff = po_diff(bi);
+      if (diff != 0) {
+        rec.detected_output = true;
+        rec.first_pattern =
+            static_cast<int>(batches[bi].base) + __builtin_ctzll(diff);
+      }
+    }
+  }
+  for (std::size_t fi = 0; fi < universe.size(); ++fi) {
+    const faults::Fault& f = universe[fi];
+    if (f.site != faults::FaultSite::kGateTransistor) continue;
+    const gates::FaultAnalysis& fa =
+        ctx.dictionary(ckt.gate(f.gate).kind, f.cell_fault);
+    faults::DetectionRecord& rec = records[fi];
+    for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+      k.init(batches[bi].pi_words, values);
+      const std::uint64_t cont = k.eval_faulty(values, f.gate, fa);
+      const std::uint64_t diff = po_diff(bi);
+      const std::uint64_t iddq =
+          opt.observe_iddq ? cont & batches[bi].active : 0;
+      if (diff != 0) rec.detected_output = true;
+      if (iddq != 0) rec.detected_iddq = true;
+      const std::uint64_t hit = diff | iddq;
+      if (hit != 0 && rec.first_pattern < 0)
+        rec.first_pattern =
+            static_cast<int>(batches[bi].base) + __builtin_ctzll(hit);
+    }
+  }
+  return records;
+}
+
+}  // namespace pr5
+
+// ---------------------------------------------------------------------------
+// Frozen PR-7 driver: today's batch kernels with no work reduction.  Line
+// faults sorted by injection position and fed kBatchLanes at a time through
+// one full-width eval_packed_line_batch pass per group; each binary-
+// dictionary transistor fault through one full-width
+// eval_packed_faulty_planes pass, flags OR-accumulated, then a scan for the
+// first detecting pattern.  The library now always drops detected faults
+// (and traces critical paths where exact), so this shape lives here.
+namespace pr7 {
+
+using logic::CompiledCircuit;
+
+std::vector<faults::DetectionRecord> run_range(
+    const faults::EvalContext& ctx,
+    const std::vector<faults::Fault>& universe,
+    const faults::FaultSimOptions& opt,
+    faults::LineBatchStats* stats = nullptr) {
+  const logic::Circuit& ckt = ctx.circuit();
+  const CompiledCircuit& cc = ctx.compiled();
+  const std::size_t n_words = ctx.word_count();
+  const std::uint64_t* const active = ctx.active_words().data();
+  std::vector<faults::DetectionRecord> records(universe.size());
+
+  // Line faults: gather, stable counting sort by the earliest position the
+  // fault can diverge at, full-width groups.
+  struct Entry {
+    std::size_t rec;
+    CompiledCircuit::LineFault lf;
+    std::size_t pos;
+  };
+  std::vector<Entry> entries;
+  for (std::size_t fi = 0; fi < universe.size(); ++fi) {
+    const faults::Fault& f = universe[fi];
+    if (f.site == faults::FaultSite::kGateTransistor) continue;
+    Entry e{fi, faults::checked_line_fault(ckt, f), 0};
+    if (e.lf.net >= 0) {
+      const int driver = ckt.driver_of(e.lf.net);
+      e.pos = driver < 0 ? 0 : cc.position_of(driver);
+    } else {
+      e.pos = cc.position_of(e.lf.gate);
+    }
+    entries.push_back(e);
+  }
+  std::vector<std::uint32_t> counts(cc.gates().size() + 2, 0);
+  for (const Entry& e : entries) ++counts[e.pos + 1];
+  for (std::size_t p = 1; p < counts.size(); ++p) counts[p] += counts[p - 1];
+  std::vector<Entry> sorted(entries.size());
+  for (const Entry& e : entries) sorted[counts[e.pos]++] = e;
+
+  faults::LineBatchStats local;
+  local.faults = sorted.size();
+  std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
+  std::vector<std::uint64_t> lane_scratch;
+  for (std::size_t g = 0; g < sorted.size() && n_words > 0;
+       g += CompiledCircuit::kBatchLanes) {
+    const std::size_t n = std::min(CompiledCircuit::kBatchLanes,
+                                   sorted.size() - g);
+    CompiledCircuit::LineFault lfs[CompiledCircuit::kBatchLanes];
+    for (std::size_t j = 0; j < n; ++j) lfs[j] = sorted[g + j].lf;
+    const std::size_t words_done = cc.eval_packed_line_batch(
+        ctx.good_planes(), ctx.plane_stride(), n_words, active, lfs, n,
+        det.data(), lane_scratch);
+    for (std::size_t j = 0; j < n; ++j) {
+      faults::DetectionRecord& rec = records[sorted[g + j].rec];
+      const std::uint64_t* fd = det.data() + j * n_words;
+      for (std::size_t w = 0; w < words_done; ++w) {
+        if (fd[w] == 0) continue;
+        rec.detected_output = true;
+        rec.first_pattern = static_cast<int>(w * 64) + __builtin_ctzll(fd[w]);
+        break;
+      }
+    }
+    ++local.groups;
+    local.lane_slots += n;
+    local.words += words_done;
+    ++local.fill[n - 1];
+  }
+  if (stats != nullptr) stats->merge(local);
+
+  // Binary-dictionary transistor faults: one full pass each.  Dictionaries
+  // are memoized per (cell kind, fault kind, transistor) like the
+  // library's, so the lookup mutex stays off the per-fault path.
+  std::vector<std::uint64_t> diff(n_words);
+  std::vector<std::uint64_t> contention(n_words);
+  std::vector<std::uint64_t> lanes;
+  std::vector<const gates::FaultAnalysis*> dicts;
+  for (std::size_t fi = 0; fi < universe.size(); ++fi) {
+    const faults::Fault& f = universe[fi];
+    if (f.site != faults::FaultSite::kGateTransistor) continue;
+    const gates::CellKind kind = ckt.gate(f.gate).kind;
+    const std::size_t slot =
+        (static_cast<std::size_t>(kind) * 5 +
+         static_cast<std::size_t>(f.cell_fault.kind)) * 33 +
+        static_cast<std::size_t>(f.cell_fault.transistor + 1);
+    if (dicts.size() <= slot) dicts.resize(slot + 1, nullptr);
+    if (dicts[slot] == nullptr)
+      dicts[slot] = &ctx.dictionary(kind, f.cell_fault);
+    const gates::FaultAnalysis& fa = *dicts[slot];
+    cc.eval_packed_faulty_planes(ctx.good_planes(), ctx.plane_stride(),
+                                 n_words, f.gate, fa, diff.data(),
+                                 contention.data(), nullptr, nullptr, lanes);
+    std::uint64_t any_d = 0;
+    std::uint64_t any_c = 0;
+    for (std::size_t w = 0; w < n_words; ++w) {
+      any_d |= diff[w] & active[w];
+      any_c |= contention[w] & active[w];
+    }
+    faults::DetectionRecord& rec = records[fi];
+    rec.detected_output = any_d != 0;
+    rec.detected_iddq = opt.observe_iddq && any_c != 0;
+    for (std::size_t w = 0;
+         w < n_words && (rec.detected_output || rec.detected_iddq); ++w) {
+      const std::uint64_t hit =
+          (diff[w] | (opt.observe_iddq ? contention[w] : 0)) & active[w];
+      if (hit != 0) {
+        rec.first_pattern = static_cast<int>(w * 64) + __builtin_ctzll(hit);
+        break;
+      }
+    }
+  }
+  return records;
+}
+
+}  // namespace pr7
+
+// ---------------------------------------------------------------------------
 // Leg 1: shared-context speedup on the transistor hot loop (seed "before").
 
 int run_context_leg() {
@@ -399,11 +642,7 @@ int run_context_leg() {
   const std::vector<faults::Fault> universe = faults::generate_fault_list(ckt, flo);
   const std::vector<logic::Pattern> patterns = random_patterns(ckt, 128, 1);
 
-  // Work reduction off: this leg measures the shared-context win alone;
-  // fault dropping has its own leg.
-  faults::FaultSimOptions options;
-  options.drop_detected = false;
-  options.critical_path_tracing = false;
+  const faults::FaultSimOptions options;
   const double work = static_cast<double>(universe.size()) *
                       static_cast<double>(patterns.size());
 
@@ -418,33 +657,16 @@ int run_context_leg() {
   for (const faults::Fault& f : universe) {
     const gates::FaultAnalysis fa =
         gates::analyze_fault(ckt.gate(f.gate).kind, f.cell_fault);
-    faults::DetectionRecord rec;
-    std::vector<logic::LogicV> state;
-    for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-      const logic::SimResult good = interp::simulate(ckt, patterns[pi]);
-      const logic::SimResult bad = interp::simulate_faulty(
-          ckt, patterns[pi], f.gate, fa,
-          options.sequential_patterns && !state.empty() ? &state : nullptr);
-      if (options.sequential_patterns) state = bad.net_values;
-      bool hit = false;
-      if (bad.iddq_flag && options.observe_iddq) {
-        rec.detected_iddq = true;
-        hit = true;
-      }
-      for (const logic::NetId po : ckt.primary_outputs()) {
-        const logic::LogicV g =
-            good.net_values[static_cast<std::size_t>(po)];
-        const logic::LogicV b = bad.net_values[static_cast<std::size_t>(po)];
-        if (is_binary(g) && is_binary(b) && g != b) {
-          rec.detected_output = true;
-          hit = true;
-        } else if (is_binary(g) && !is_binary(b)) {
-          rec.potential = true;
-        }
-      }
-      if (hit && rec.first_pattern < 0)
-        rec.first_pattern = static_cast<int>(pi);
-    }
+    logic::SimResult good;
+    const faults::DetectionRecord rec = serial_record(
+        ckt, patterns.size(),
+        [&](std::size_t pi) -> const logic::SimResult& {
+          return good = interp::simulate(ckt, patterns[pi]);
+        },
+        [&](std::size_t pi, const std::vector<logic::LogicV>* state) {
+          return interp::simulate_faulty(ckt, patterns[pi], f.gate, fa, state);
+        },
+        options);
     before_records.push_back(rec);
   }
   const double before_s = seconds_since(t_before);
@@ -480,7 +702,8 @@ int run_context_leg() {
       ",\"before_fault_patterns_per_s\":" + std::to_string(before_rate) +
       ",\"after_fault_patterns_per_s\":" + std::to_string(after_rate) +
       ",\"speedup\":" + std::to_string(speedup) +
-      ",\"identical\":" + (identical ? "true" : "false") + "}";
+      ",\"identical\":" + (identical ? "true" : "false") + "," +
+      bench::host_json_member() + "}";
   std::ofstream("BENCH_context.json") << json << "\n";
   std::cout << json << "\n\n";
 
@@ -502,11 +725,7 @@ int run_compiled_leg(std::string& json_out) {
   roster.push_back({"tmr_voter_5", logic::tmr_voter(5)});
   roster.push_back({"c17", logic::c17()});
 
-  // Work reduction off: the compiled-vs-interpreted comparison predates
-  // the dropping layer and must keep measuring the same work.
-  faults::FaultSimOptions options;
-  options.drop_detected = false;
-  options.critical_path_tracing = false;
+  const faults::FaultSimOptions options;
   double before_total = 0.0;
   double after_total = 0.0;
   bool identical = true;
@@ -588,13 +807,9 @@ int run_compiled_leg(std::string& json_out) {
 // marginal-row faults (the dual-rail path, which leg 6 measures) are
 // excluded, as they were when this leg was written.
 //
-// "Before" is the PR-5 shape: line faults through the library's
-// single-fault path (batch_line_faults=false — one init_packed +
-// eval_packed_line per fault per 64-pattern batch with fault dropping),
-// transistor faults through a bench-local replica of the PR-5
-// simulate_transistor_packed (one init_packed + eval_packed_faulty per
-// batch; that library body now runs the plane kernel, so the word-at-a-
-// time walk is frozen here, mirroring the interp:: replicas above).
+// "Before" is the pr5:: replica (one whole-circuit word walk per fault per
+// 64-pattern batch); "after" is the pr7:: driver over the library's batch
+// kernels, with no work reduction — the dropping leg measures that on top.
 
 int run_batched_leg(std::string& json_out) {
   struct Entry {
@@ -608,16 +823,7 @@ int run_batched_leg(std::string& json_out) {
   roster.push_back({"tmr_voter_5", logic::tmr_voter(5)});
   roster.push_back({"c17", logic::c17()});
 
-  // Work reduction off on both sides: this leg isolates the batch-kernel
-  // win; the dropping leg below measures the work-reduction layer on top.
-  faults::FaultSimOptions single;
-  single.batch_line_faults = false;
-  single.drop_detected = false;
-  single.critical_path_tracing = false;
-  faults::FaultSimOptions batched;  // batch_line_faults=true default
-  batched.drop_detected = false;
-  batched.critical_path_tracing = false;
-
+  const faults::FaultSimOptions options;
   const logic::simd::Backend backend = logic::simd::compiled_backend();
   const bool have_simd = backend != logic::simd::Backend::kPortable;
 
@@ -637,9 +843,8 @@ int run_batched_leg(std::string& json_out) {
 
   for (std::size_t ci = 0; ci < roster.size(); ++ci) {
     const Entry& e = roster[ci];
-    // Packed-eligible universe, line faults first so one run_range
-    // sub-range covers exactly the line portion.  Cross-class collapse is
-    // off so the kernel workload stays comparable across commits — the
+    // Packed-eligible universe, line faults first.  Cross-class collapse
+    // is off so the kernel workload stays comparable across commits — the
     // collapse mostly removes binary-dictionary stuck-ons, i.e. exactly
     // the plane-kernel work this leg measures.
     faults::FaultListOptions flo;
@@ -668,91 +873,33 @@ int run_batched_leg(std::string& json_out) {
     total_faults += universe.size();
     total_excluded += excluded;
 
-    const faults::FaultSimulator fsim(e.ckt);
-    const logic::Simulator lsim(e.ckt);
-    const logic::CompiledCircuit& cc = lsim.compiled();
     const faults::EvalContext ctx(e.ckt, patterns);  // shared by all paths
-
-    // PR-5 shape over the whole universe: library single-fault line path,
-    // bench-frozen word-at-a-time transistor substitution.
+    const pr5::Kernels pr5_kernels(ctx.compiled());
+    const std::vector<pr5::Batch> batches = pr5::make_batches(e.ckt, patterns);
     const auto run_before = [&]() {
-      std::vector<faults::DetectionRecord> recs =
-          fsim.run_range(ctx, universe, 0, n_line, single);
-      recs.resize(universe.size());
-      std::vector<std::uint64_t> values;
-      for (std::size_t i = n_line; i < universe.size(); ++i) {
-        const faults::Fault& f = universe[i];
-        const gates::FaultAnalysis& fa =
-            gates::DictionaryCache::global().lookup(e.ckt.gate(f.gate).kind,
-                                                    f.cell_fault);
-        faults::DetectionRecord rec;
-        for (std::size_t bi = 0; bi < ctx.batches().size(); ++bi) {
-          const faults::EvalContext::Batch& batch = ctx.batches()[bi];
-          cc.init_packed(batch.pi_words, values);
-          const std::uint64_t cont =
-              cc.eval_packed_faulty(values, f.gate, fa);
-          std::uint64_t diff = 0;
-          for (const logic::NetId po : e.ckt.primary_outputs())
-            diff |= ctx.good_plane(po)[bi] ^
-                    values[static_cast<std::size_t>(po)];
-          diff &= batch.active;
-          const std::uint64_t iddq = cont & batch.active;
-          if (diff != 0) rec.detected_output = true;
-          if (iddq != 0) rec.detected_iddq = true;
-          const std::uint64_t hit = diff | iddq;
-          if (hit != 0 && rec.first_pattern < 0)
-            rec.first_pattern =
-                static_cast<int>(batch.base) + __builtin_ctzll(hit);
-        }
-        recs[i] = rec;
-      }
-      return recs;
+      return pr5::run_range(pr5_kernels, ctx, batches, universe, options);
     };
 
-    // Pilot run calibrates a repetition count so the small roster entries
-    // (c17 is 6 gates) measure well above timer resolution.  Timing then
-    // interleaves the three paths over several rounds and keeps each
-    // path's minimum: this box shows 2x wall-clock swings between
-    // back-to-back identical runs, and the minimum of interleaved blocks
-    // is the standard noise-resistant estimate of uncontended cost.
-    auto t0 = Clock::now();
     const std::vector<faults::DetectionRecord> reference = run_before();
-    const double pilot_s = seconds_since(t0);
-    const int reps = std::max(
-        1, static_cast<int>(std::ceil(0.03 / std::max(pilot_s, 1e-7))));
-
-    std::vector<faults::DetectionRecord> portable_records;
-    std::vector<faults::DetectionRecord> simd_records;
     faults::LineBatchStats circuit_stats;
-    {
-      logic::simd::force_portable(true);
-      faults::LineBatchStats first_stats;
-      portable_records = fsim.run_range(ctx, universe, 0, universe.size(),
-                                        batched, &first_stats);
-      circuit_stats = first_stats;
-      logic::simd::force_portable(false);
-      simd_records = fsim.run_range(ctx, universe, 0, universe.size(), batched);
-    }
-    double before_s = 1e30;
-    double portable_s = 1e30;
-    double simd_s = 1e30;
-    for (int round = 0; round < 9; ++round) {
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r) (void)run_before();
-      before_s = std::min(before_s, seconds_since(t0) / reps);
-
-      logic::simd::force_portable(true);
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), batched);
-      portable_s = std::min(portable_s, seconds_since(t0) / reps);
-
-      logic::simd::force_portable(false);
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), batched);
-      simd_s = std::min(simd_s, seconds_since(t0) / reps);
-    }
+    logic::simd::force_portable(true);
+    const std::vector<faults::DetectionRecord> portable_records =
+        pr7::run_range(ctx, universe, options, &circuit_stats);
+    logic::simd::force_portable(false);
+    const std::vector<faults::DetectionRecord> simd_records =
+        pr7::run_range(ctx, universe, options);
+    const Timing timing = time_interleaved(
+        {[&] { (void)run_before(); },
+         [&] {
+           logic::simd::force_portable(true);
+           (void)pr7::run_range(ctx, universe, options);
+           logic::simd::force_portable(false);
+         },
+         [&] { (void)pr7::run_range(ctx, universe, options); }});
+    const int reps = timing.reps;
+    const double before_s = timing.best_s[0];
+    const double portable_s = timing.best_s[1];
+    const double simd_s = timing.best_s[2];
     stats.merge(circuit_stats);
 
     bool circuit_identical =
@@ -832,11 +979,12 @@ int run_batched_leg(std::string& json_out) {
 // ---------------------------------------------------------------------------
 // Leg 4: the work-reduction layer (fault dropping + critical-path tracing)
 // vs the PR-7 batched path it sits on.  Both sides run the same batched
-// kernels over the same packed-eligible universe; "before" pins the
-// work-reduction switches off, "after" is the library default (dropping
-// on, CPT on, full detection mode).  The records must stay bit-identical —
-// dropping only skips work whose outcome is already decided, and CPT is an
-// exact analytical shortcut on its qualified cones.  Gate: >= 1.5x.
+// kernels over the same packed-eligible universe; "before" is the pr7::
+// driver (no work reduction), "after" is the library (dropping always on,
+// CPT where the circuit shape admits it, full detection mode).  The records
+// must stay bit-identical — dropping only skips work whose outcome is
+// already decided, and CPT is an exact analytical shortcut on its
+// qualified cones.  Gate: >= 1.5x.
 
 int run_dropping_leg(std::string& json_out) {
   struct Entry {
@@ -850,12 +998,7 @@ int run_dropping_leg(std::string& json_out) {
   roster.push_back({"tmr_voter_5", logic::tmr_voter(5)});
   roster.push_back({"c17", logic::c17()});
 
-  faults::FaultSimOptions pr7;  // the batched path, work reduction off
-  pr7.drop_detected = false;
-  pr7.critical_path_tracing = false;
-  faults::FaultSimOptions reduced;  // the shipped defaults
-  reduced.drop_detected = true;
-  reduced.critical_path_tracing = true;
+  const faults::FaultSimOptions options;
 
   double before_total = 0.0;
   double after_total = 0.0;
@@ -895,10 +1038,10 @@ int run_dropping_leg(std::string& json_out) {
 
     // Correctness first: one run of each side, record for record.
     const std::vector<faults::DetectionRecord> reference =
-        fsim.run_range(ctx, universe, 0, universe.size(), pr7);
+        pr7::run_range(ctx, universe, options);
     faults::LineBatchStats circuit_stats;
     const std::vector<faults::DetectionRecord> after = fsim.run_range(
-        ctx, universe, 0, universe.size(), reduced, &circuit_stats);
+        ctx, universe, 0, universe.size(), options, &circuit_stats);
     stats.merge(circuit_stats);
 
     bool circuit_identical = after.size() == reference.size();
@@ -906,27 +1049,14 @@ int run_dropping_leg(std::string& json_out) {
       circuit_identical = records_identical(reference[i], after[i]);
     identical = identical && circuit_identical;
 
-    // Pilot-calibrated repetitions, min over interleaved rounds (same
-    // noise discipline as the batched leg).
-    auto t0 = Clock::now();
-    (void)fsim.run_range(ctx, universe, 0, universe.size(), pr7);
-    const double pilot_s = seconds_since(t0);
-    const int reps = std::max(
-        1, static_cast<int>(std::ceil(0.03 / std::max(pilot_s, 1e-7))));
-
-    double before_s = 1e30;
-    double after_s = 1e30;
-    for (int round = 0; round < 9; ++round) {
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), pr7);
-      before_s = std::min(before_s, seconds_since(t0) / reps);
-
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), reduced);
-      after_s = std::min(after_s, seconds_since(t0) / reps);
-    }
+    const Timing timing = time_interleaved(
+        {[&] { (void)pr7::run_range(ctx, universe, options); },
+         [&] {
+           (void)fsim.run_range(ctx, universe, 0, universe.size(), options);
+         }});
+    const int reps = timing.reps;
+    const double before_s = timing.best_s[0];
+    const double after_s = timing.best_s[1];
 
     const double speedup = after_s > 0.0 ? before_s / after_s : 0.0;
     std::cout << e.name << ": " << universe.size() << " faults, "
@@ -1029,17 +1159,10 @@ int run_large_circuit_leg(std::string& json_out) {
     }
   }
 
-  // Perf gate at scale: batched line kernel vs the single-fault packed
-  // walk (work reduction off on both sides, as in the batched leg), on a
-  // slice of the packed-eligible universe.
-  faults::FaultSimOptions single;
-  single.batch_line_faults = false;
-  single.drop_detected = false;
-  single.critical_path_tracing = false;
-  faults::FaultSimOptions batched;
-  batched.batch_line_faults = true;
-  batched.drop_detected = false;
-  batched.critical_path_tracing = false;
+  // Perf gate at scale: the pr7:: batched driver vs the pr5:: single-fault
+  // word walk (no work reduction beyond PR-5's line dropping, as in the
+  // batched leg), on a slice of the packed-eligible universe.
+  const faults::FaultSimOptions options;
 
   const std::vector<faults::Fault> all = faults::generate_fault_list(ckt, {});
   std::vector<faults::Fault> universe;
@@ -1052,38 +1175,29 @@ int run_large_circuit_leg(std::string& json_out) {
         ckt.gate(f.gate).kind, f.cell_fault);
     if (fa.compiled_binary) universe.push_back(f);
   }
-  const std::size_t slice = std::min<std::size_t>(universe.size(), 1536);
+  universe.resize(std::min<std::size_t>(universe.size(), 1536));
+  const std::size_t slice = universe.size();
   const std::vector<logic::Pattern> patterns = random_patterns(ckt, 256, 73);
-  const faults::FaultSimulator fsim(ckt);
   const faults::EvalContext ctx(ckt, patterns);
+  const pr5::Kernels pr5_kernels(ctx.compiled());
+  const std::vector<pr5::Batch> batches = pr5::make_batches(ckt, patterns);
+  const auto run_before = [&]() {
+    return pr5::run_range(pr5_kernels, ctx, batches, universe, options);
+  };
 
-  const std::vector<faults::DetectionRecord> reference =
-      fsim.run_range(ctx, universe, 0, slice, single);
+  const std::vector<faults::DetectionRecord> reference = run_before();
   const std::vector<faults::DetectionRecord> after =
-      fsim.run_range(ctx, universe, 0, slice, batched);
+      pr7::run_range(ctx, universe, options);
   bool identical = after.size() == reference.size();
   for (std::size_t i = 0; identical && i < reference.size(); ++i)
     identical = records_identical(reference[i], after[i]);
 
-  auto t0 = Clock::now();
-  (void)fsim.run_range(ctx, universe, 0, slice, batched);
-  const double pilot_s = seconds_since(t0);
-  const int reps = std::max(
-      1, static_cast<int>(std::ceil(0.03 / std::max(pilot_s, 1e-7))));
-
-  double before_s = 1e30;
-  double after_s = 1e30;
-  for (int round = 0; round < 9; ++round) {
-    t0 = Clock::now();
-    for (int r = 0; r < reps; ++r)
-      (void)fsim.run_range(ctx, universe, 0, slice, single);
-    before_s = std::min(before_s, seconds_since(t0) / reps);
-
-    t0 = Clock::now();
-    for (int r = 0; r < reps; ++r)
-      (void)fsim.run_range(ctx, universe, 0, slice, batched);
-    after_s = std::min(after_s, seconds_since(t0) / reps);
-  }
+  const Timing timing = time_interleaved(
+      {[&] { (void)run_before(); },
+       [&] { (void)pr7::run_range(ctx, universe, options); }},
+      1);
+  const double before_s = timing.best_s[0];
+  const double after_s = timing.best_s[1];
   const double speedup = after_s > 0.0 ? before_s / after_s : 0.0;
 
   std::cout << "campaign: " << campaign_faults << " classified faults, "
@@ -1129,9 +1243,9 @@ int run_large_circuit_leg(std::string& json_out) {
 
 namespace serial_replica {
 
-/// The retired serial transistor routine: one scalar good and faulty walk
-/// per pattern (the good ones precomputed per job, as the context used to
-/// hold them), one SimResult and one state copy per pattern.
+/// The retired serial transistor routine: one scalar faulty walk per
+/// pattern (the good ones precomputed per job, as the context used to hold
+/// them), one SimResult and one state copy per pattern.
 faults::DetectionRecord transistor(const logic::Circuit& ckt,
                                    const logic::Simulator& sim,
                                    const std::vector<logic::SimResult>& good,
@@ -1140,35 +1254,13 @@ faults::DetectionRecord transistor(const logic::Circuit& ckt,
                                    const gates::FaultAnalysis& fa,
                                    const faults::FaultSimOptions& opt) {
   const logic::GateFault gf{fault.gate, fault.cell_fault};
-  faults::DetectionRecord rec;
-  std::vector<logic::LogicV> state;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const logic::SimResult bad = sim.simulate_faulty_with(
-        patterns[pi], gf, fa,
-        opt.sequential_patterns && !state.empty() ? &state : nullptr);
-    if (opt.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && opt.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const logic::NetId po : ckt.primary_outputs()) {
-      const logic::LogicV g = good[pi].value(po);
-      const logic::LogicV b = bad.value(po);
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0) rec.first_pattern = static_cast<int>(pi);
-    if (rec.first_pattern >= 0 &&
-        opt.detection_mode == faults::DetectionMode::kFirstOnly)
-      break;
-  }
-  return rec;
+  return serial_record(
+      ckt, patterns.size(),
+      [&](std::size_t pi) -> const logic::SimResult& { return good[pi]; },
+      [&](std::size_t pi, const std::vector<logic::LogicV>* state) {
+        return sim.simulate_faulty_with(patterns[pi], gf, fa, state);
+      },
+      opt);
 }
 
 /// engine::run_campaign for an inline, unsampled, bridge-free campaign,
@@ -1321,7 +1413,8 @@ int main() {
                            ",\"batched\":" + batched_json +
                            ",\"dropping\":" + dropping_json +
                            ",\"large_circuit\":" + large_json +
-                           ",\"end_to_end\":" + end_to_end_json + "}";
+                           ",\"end_to_end\":" + end_to_end_json + "," +
+                           bench::host_json_member() + "}";
   std::ofstream("BENCH_compiled.json") << json << "\n";
   std::cout << json << "\n";
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "engine/campaign.hpp"
 #include "engine/net.hpp"
 #include "engine/thread_pool.hpp"
@@ -245,7 +246,8 @@ int main() {
       std::to_string(totals.total) +
       ",\"patterns\":" + std::to_string(ref.jobs[0].pattern_count) +
       ",\"hardware_threads\":" +
-      std::to_string(engine::ThreadPool::hardware_threads()) +
+      std::to_string(engine::ThreadPool::hardware_threads()) + "," +
+      cpsinw::bench::host_json_member() +
       ",\"deterministic\":" + (all_identical ? "true" : "false") +
       ",\"tracing_overhead\":{\"plain_wall_s\":" + std::to_string(plain_s) +
       ",\"instrumented_wall_s\":" + std::to_string(traced_s) +

@@ -3,7 +3,9 @@
 // switch-level evaluation, packed fault simulation, and PODEM.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "atpg/channel_break.hpp"
 #include "atpg/podem.hpp"
@@ -149,8 +151,8 @@ void BM_CompiledScalarSim(benchmark::State& state) {
 BENCHMARK(BM_CompiledScalarSim);
 
 void BM_CompiledLineFaultSim(benchmark::State& state) {
-  // Full line-stuck-at campaign through the compiled packed kernels
-  // (scratch-buffer reuse, driver-skip stem faults).
+  // Full line-stuck-at campaign through FaultSimulator::run (on this
+  // fan-out-free circuit, critical-path tracing over the good planes).
   const logic::Circuit ckt = logic::parity_tree(32);
   const faults::FaultSimulator fsim(ckt);
   faults::FaultListOptions flo;
@@ -173,15 +175,19 @@ void BM_CompiledLineFaultSim(benchmark::State& state) {
 BENCHMARK(BM_CompiledLineFaultSim);
 
 void BM_CompiledBatchLineFaultSim(benchmark::State& state) {
-  // Same campaign through the multi-fault batch kernel: kBatchLanes line
-  // faults share one forward walk over the SoA bit planes.  The
+  // The multi-fault batch kernel itself: kBatchLanes line faults share one
+  // forward walk over the SoA bit planes, every group over the full word
+  // range.  Called directly — run_range would resolve this fan-out-free
+  // circuit by critical-path tracing and never reach the kernel.  The
   // words_per_s counter is the kernel's post-early-exit plane throughput
   // (pattern words evaluated per second across all lanes).
+  using logic::CompiledCircuit;
   const logic::Circuit ckt = logic::parity_tree(48);
-  const faults::FaultSimulator fsim(ckt);
   faults::FaultListOptions flo;
   flo.include_transistor_faults = false;
-  const auto faults = generate_fault_list(ckt, flo);
+  std::vector<CompiledCircuit::LineFault> lfs;
+  for (const faults::Fault& f : generate_fault_list(ckt, flo))
+    lfs.push_back(faults::checked_line_fault(ckt, f));
   std::vector<logic::Pattern> patterns;
   util::SplitMix64 rng(13);
   for (int k = 0; k < 256; ++k) {
@@ -191,28 +197,33 @@ void BM_CompiledBatchLineFaultSim(benchmark::State& state) {
     patterns.push_back(std::move(p));
   }
   const faults::EvalContext ctx(ckt, patterns);
-  // Pin the work-reduction layer off: this benchmark measures the batch
-  // kernel itself, and critical-path tracing would bypass it entirely on
-  // this fan-out-free circuit.
-  faults::FaultSimOptions options;
-  options.drop_detected = false;
-  options.critical_path_tracing = false;
-  faults::LineBatchStats stats;
+  const CompiledCircuit& cc = ctx.compiled();
+  const std::size_t n_words = ctx.word_count();
+  std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
+  std::vector<std::uint64_t> scratch;
+  std::size_t words = 0;
+  std::size_t groups = 0;
+  std::size_t lane_slots = 0;
   for (auto _ : state) {
-    faults::LineBatchStats run_stats;
-    benchmark::DoNotOptimize(
-        fsim.run_range(ctx, faults, 0, faults.size(), options, &run_stats));
-    stats.merge(run_stats);
+    for (std::size_t g = 0; g < lfs.size(); g += CompiledCircuit::kBatchLanes) {
+      const std::size_t n =
+          std::min(CompiledCircuit::kBatchLanes, lfs.size() - g);
+      words += cc.eval_packed_line_batch(
+          ctx.good_planes(), ctx.plane_stride(), n_words,
+          ctx.active_words().data(), lfs.data() + g, n, det.data(), scratch);
+      ++groups;
+      lane_slots += n;
+    }
+    benchmark::DoNotOptimize(det.data());
   }
-  state.counters["faults"] = static_cast<double>(faults.size());
+  state.counters["faults"] = static_cast<double>(lfs.size());
   state.counters["words_per_s"] = benchmark::Counter(
-      static_cast<double>(stats.words), benchmark::Counter::kIsRate);
+      static_cast<double>(words), benchmark::Counter::kIsRate);
   state.counters["lane_fill"] =
-      stats.groups != 0
-          ? static_cast<double>(stats.lane_slots) /
-                static_cast<double>(stats.groups *
-                                    logic::CompiledCircuit::kBatchLanes)
-          : 0.0;
+      groups != 0 ? static_cast<double>(lane_slots) /
+                        static_cast<double>(groups *
+                                            CompiledCircuit::kBatchLanes)
+                  : 0.0;
 }
 BENCHMARK(BM_CompiledBatchLineFaultSim);
 

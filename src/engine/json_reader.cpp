@@ -95,8 +95,14 @@ void JsonParser::expect(char c) {
 JsonValue JsonParser::parse_value() {
   const char c = peek();
   switch (c) {
-    case '{': return parse_object();
-    case '[': return parse_array();
+    case '{':
+    case '[': {
+      if (++depth_ > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     case '"': return parse_string();
     case 't': return parse_literal("true", JsonValue::Type::kBool, true);
     case 'f': return parse_literal("false", JsonValue::Type::kBool, false);

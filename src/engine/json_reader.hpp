@@ -51,6 +51,12 @@ class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
 
+  /// Deepest array/object nesting parse() accepts.  cpsinw documents
+  /// (shard_io requests and results, reports, stats) nest a handful of
+  /// levels; the bound keeps hostile input from exhausting the stack of
+  /// this recursive-descent reader.
+  static constexpr int kMaxDepth = 128;
+
   /// Parses the whole input as one value (trailing bytes are an error).
   /// @throws std::runtime_error naming the byte offset of the problem
   [[nodiscard]] JsonValue parse();
@@ -69,6 +75,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 /// Convenience one-shot: parse `text` or throw.

@@ -303,10 +303,9 @@ std::string serialize_shard_input(const logic::Circuit& ckt,
   // Retired option, still written: older servers read it with at().
   j.key("batch_transistor_faults");
   j.value(true);
-  // Serialized because it changes the records a worker computes.  The
-  // work-reduction toggles (drop_detected, critical_path_tracing) are
-  // deliberately NOT on the wire: they never change results, so they stay
-  // process-local, like batch_line_faults.
+  // Serialized because it changes the records a worker computes.  Fault
+  // dropping and critical-path tracing are not options at all: they never
+  // change results, so there is nothing to put on the wire.
   j.key("detection_mode");
   j.value(options.sim.detection_mode == faults::DetectionMode::kFirstOnly
               ? "first_only"

@@ -45,7 +45,7 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
     if (p.size() != n_pi)
       throw std::invalid_argument("EvalContext: pattern arity mismatch");
 
-  // Packed batches need fully-specified patterns; an X anywhere keeps the
+  // Packed planes need fully-specified patterns; an X anywhere keeps the
   // context scalar-only: one good simulation per pattern, for the serial
   // transistor path.  Packed contexts read the good machine from the
   // planes instead (good_value()), so they never hold per-pattern
@@ -73,22 +73,14 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
   n_words_ = (patterns_.size() + 63) / 64;
   stride_ = logic::CompiledCircuit::plane_stride(n_words_);
   pi_planes_.assign(n_pi * stride_, 0);
-  for (std::size_t base = 0; base < patterns_.size(); base += 64) {
-    const std::size_t count =
-        std::min<std::size_t>(64, patterns_.size() - base);
-    Batch b;
-    b.base = base;
-    b.count = count;
-    b.active = count == 64 ? ~0ull : ((1ull << count) - 1ull);
-    const std::vector<logic::Pattern> slice(
-        patterns_.begin() + static_cast<long>(base),
-        patterns_.begin() + static_cast<long>(base + count));
-    b.pi_words = logic::pack_patterns(ckt, slice);
-    const std::size_t w = base / 64;
+  active_words_.assign(n_words_, 0);
+  for (std::size_t p = 0; p < patterns_.size(); ++p) {
+    const std::size_t w = p / 64;
+    const std::uint64_t bit = 1ull << (p % 64);
+    active_words_[w] |= bit;
     for (std::size_t i = 0; i < n_pi; ++i)
-      pi_planes_[i * stride_ + w] = b.pi_words[i];
-    active_words_.push_back(b.active);
-    batches_.push_back(std::move(b));
+      if (patterns_[p][i] == logic::LogicV::k1)
+        pi_planes_[i * stride_ + w] |= bit;
   }
   sim_.compiled().init_packed_planes(pi_planes_.data(), stride_, good_planes_);
   sim_.compiled().eval_packed_planes(good_planes_, stride_);

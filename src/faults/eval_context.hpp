@@ -29,18 +29,7 @@ namespace cpsinw::faults {
 
 class EvalContext {
  public:
-  /// One 64-pattern slice.  The good-machine words that used to live here
-  /// (`net_words`) moved to the context-wide SoA planes (good_plane()):
-  /// one contiguous row of words per net instead of one vector per batch,
-  /// which is what the multi-word SIMD kernels walk.
-  struct Batch {
-    std::size_t base = 0;        ///< index of the first pattern
-    std::size_t count = 0;       ///< patterns in this batch (<= 64)
-    std::uint64_t active = 0;    ///< low `count` bits set
-    std::vector<std::uint64_t> pi_words;   ///< per PI (pack_patterns order)
-  };
-
-  /// Builds the context: packed batches and good-machine planes when every
+  /// Builds the context: packed PI and good-machine planes when every
   /// pattern is fully specified (binary), one scalar good simulation per
   /// pattern otherwise.  X-bearing pattern sets still work for the serial
   /// transistor path — only the packed paths require packability.
@@ -56,14 +45,12 @@ class EvalContext {
   }
   [[nodiscard]] std::size_t pattern_count() const { return patterns_.size(); }
 
-  /// True when every pattern is fully specified and the packed batches
-  /// (and their good-machine planes) were built.
+  /// True when every pattern is fully specified and the planes were built.
   [[nodiscard]] bool packed() const { return packed_; }
-  [[nodiscard]] const std::vector<Batch>& batches() const { return batches_; }
 
   // ---- SoA bit-planes (built only when packed()) ---------------------------
 
-  /// Pattern words (= batches().size()).
+  /// Pattern words: ceil(pattern_count() / 64).
   [[nodiscard]] std::size_t word_count() const { return n_words_; }
   /// Row stride of the plane buffers, in words: word_count() padded to a
   /// multiple of CompiledCircuit::kSimdWords (padding words are computed
@@ -82,7 +69,8 @@ class EvalContext {
   [[nodiscard]] const std::uint64_t* pi_planes() const {
     return pi_planes_.data();
   }
-  /// Per pattern word: the valid-pattern mask (batches()[w].active).
+  /// Per pattern word: the valid-pattern mask (low bits set for the
+  /// patterns the word holds).
   [[nodiscard]] const std::vector<std::uint64_t>& active_words() const {
     return active_words_;
   }
@@ -135,7 +123,6 @@ class EvalContext {
   std::vector<logic::Pattern> patterns_;
   logic::Simulator sim_;
   std::vector<logic::SimResult> good_;  ///< scalar goods (!packed_ only)
-  std::vector<Batch> batches_;
   std::size_t n_words_ = 0;
   std::size_t stride_ = 0;
   std::vector<std::uint64_t> pi_planes_;    ///< [pi][stride_] PI words

@@ -1,22 +1,12 @@
 #include "faults/fault_sim.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace cpsinw::faults {
 
 using logic::LogicV;
 using logic::Pattern;
-
-bool work_reduction_default() {
-  static const bool on = [] {
-    const char* env = std::getenv("CPSINW_WORK_REDUCTION");
-    return env == nullptr || std::strcmp(env, "off") != 0;
-  }();
-  return on;
-}
 
 int FaultSimReport::detected_count() const {
   int n = 0;
@@ -61,14 +51,6 @@ logic::CompiledCircuit::LineFault checked_line_fault(
   return lf;
 }
 
-void FaultSimulator::packed_line_fault(
-    const std::vector<std::uint64_t>& pi_words, const Fault& fault,
-    std::vector<std::uint64_t>& values) const {
-  const logic::CompiledCircuit& cc = sim_.compiled();
-  cc.init_packed(pi_words, values);
-  cc.eval_packed_line(values, checked_line_fault(ckt_, fault));
-}
-
 FaultSimReport FaultSimulator::run(const std::vector<Fault>& faults,
                                    const std::vector<Pattern>& patterns,
                                    const FaultSimOptions& options) const {
@@ -105,45 +87,18 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
   bool any_line_fault = false;
   for (std::size_t fi = begin; fi < end && !any_line_fault; ++fi)
     any_line_fault = faults[fi].site != FaultSite::kGateTransistor;
-  if (any_line_fault && !ctx.packed() && ctx.pattern_count() > 0)
+  if (any_line_fault && !ctx.packed())
     throw std::invalid_argument(
         "run_range: line faults need fully-specified (packable) patterns");
 
-  if (any_line_fault && options.batch_line_faults && ctx.word_count() > 0) {
-    // --- Line faults, batched: groups of kBatchLanes faults share one
-    // forward walk per pattern word over the context's SoA good planes.
-    // Sorting by injection position groups faults whose shared (skipped)
-    // prefix is longest; each fault's record still derives from its own
-    // detection words, so grouping never changes results — concatenating
-    // shard ranges stays bit-identical to one whole-list run. --------------
-    run_line_faults_batched(ctx, faults, begin, end, options, records, stats);
-  } else if (any_line_fault) {
-    // --- Line faults, single-fault path (batching disabled): one packed
-    // pass per fault per 64-pattern batch with fault dropping — the PR-5
-    // kernel shape, kept as the equivalence/bench baseline.  One scratch
-    // buffer serves every fault and batch of this call. --------------------
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t bi = 0; bi < ctx.batches().size(); ++bi) {
-      const EvalContext::Batch& batch = ctx.batches()[bi];
-      for (std::size_t fi = begin; fi < end; ++fi) {
-        const Fault& f = faults[fi];
-        if (f.site == FaultSite::kGateTransistor) continue;
-        DetectionRecord& rec = records[fi - begin];
-        if (rec.detected_output) continue;  // fault dropping
-        packed_line_fault(batch.pi_words, f, scratch);
-        std::uint64_t diff = 0;
-        for (const logic::NetId po : ckt_.primary_outputs())
-          diff |= (ctx.good_plane(po)[bi] ^
-                   scratch[static_cast<std::size_t>(po)]);
-        diff &= batch.active;
-        if (diff != 0) {
-          rec.detected_output = true;
-          rec.first_pattern =
-              static_cast<int>(batch.base) + __builtin_ctzll(diff);
-        }
-      }
-    }
-  }
+  // --- Line faults: groups of kBatchLanes faults share one forward walk
+  // per pattern word over the context's SoA good planes (or none at all
+  // under critical-path tracing).  Each fault's record derives from its own
+  // detection words, so grouping never changes results — concatenating
+  // shard ranges stays bit-identical to one whole-list run.  Every line
+  // fault is validated here, whatever the pattern count. -------------------
+  if (any_line_fault)
+    run_line_faults_batched(ctx, faults, begin, end, records, stats);
 
   // --- Transistor faults: the plane kernel on packed contexts, the
   // retained-state serial walk otherwise.  One scratch set serves the whole
@@ -164,8 +119,8 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
 
 void FaultSimulator::run_line_faults_batched(
     const EvalContext& ctx, const std::vector<Fault>& faults,
-    std::size_t begin, std::size_t end, const FaultSimOptions& options,
-    std::vector<DetectionRecord>& records, LineBatchStats* stats) const {
+    std::size_t begin, std::size_t end, std::vector<DetectionRecord>& records,
+    LineBatchStats* stats) const {
   using logic::CompiledCircuit;
   const CompiledCircuit& cc = sim_.compiled();
 
@@ -200,7 +155,7 @@ void FaultSimulator::run_line_faults_batched(
   // whole range resolves from the good machine with no faulty pass.  A
   // branch fault reads its input net's planes: fanout <= 1 makes branch
   // and stem the same line. ------------------------------------------------
-  if (options.critical_path_tracing && ctx.cpt_available()) {
+  if (ctx.cpt_available()) {
     const std::uint64_t* const active = ctx.active_words().data();
     const std::size_t nw = ctx.word_count();
     for (const Entry& e : entries) {
@@ -246,46 +201,13 @@ void FaultSimulator::run_line_faults_batched(
   LineBatchStats local;
   local.faults = entries.size();
 
-  if (!options.drop_detected) {
-    // One full-width pass per group (the PR-7 shape, kept as the
-    // equivalence/bench baseline when dropping is off).
-    std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
-    for (std::size_t g = 0; g < entries.size();
-         g += CompiledCircuit::kBatchLanes) {
-      const std::size_t n =
-          std::min(CompiledCircuit::kBatchLanes, entries.size() - g);
-      CompiledCircuit::LineFault lfs[CompiledCircuit::kBatchLanes];
-      for (std::size_t j = 0; j < n; ++j) lfs[j] = entries[g + j].lf;
-      const std::size_t words_done = cc.eval_packed_line_batch(
-          ctx.good_planes(), ctx.plane_stride(), n_words,
-          ctx.active_words().data(), lfs, n, det.data(), lane_scratch);
-      for (std::size_t j = 0; j < n; ++j) {
-        DetectionRecord& rec = records[entries[g + j].rec];
-        const std::uint64_t* fd = det.data() + j * n_words;
-        for (std::size_t w = 0; w < words_done; ++w) {
-          if (fd[w] == 0) continue;
-          rec.detected_output = true;
-          rec.first_pattern =
-              static_cast<int>(w * 64) + __builtin_ctzll(fd[w]);
-          break;
-        }
-      }
-      ++local.groups;
-      local.lane_slots += n;
-      local.words += words_done;
-      ++local.fill[n - 1];
-    }
-    if (stats != nullptr) stats->merge(local);
-    return;
-  }
-
   // --- Fault dropping: walk the word range in strips and re-form the lane
   // groups from the *surviving* faults between strips, so a detected fault
   // stops consuming a lane for the rest of the walk (= mid-walk lane
   // refill from pending faults).  A fault's detection words depend only on
   // the fault, never on its group (the kernel early-exits a group only
   // once every lane detected), so any strip/group schedule yields the same
-  // record — dropping is bit-identical to the single pass above.  The
+  // record — dropping is bit-identical to one full-width pass.  The
   // first strip is narrow: most detectable faults die within a few words,
   // so the expensive full-width walks only ever see the hard tail.
   // Strips start on kSimdWords boundaries, which keeps the plane pointer
@@ -341,43 +263,41 @@ void FaultSimulator::run_line_faults_batched(
 
 bool FaultSimulator::line_fault_detected(const Fault& fault,
                                          const Pattern& pattern) const {
-  if (fault.site == FaultSite::kGateTransistor)
-    throw std::invalid_argument("line_fault_detected: transistor fault");
-  const logic::CompiledCircuit& cc = sim_.compiled();
-  const auto pi_words = logic::pack_patterns(ckt_, {pattern});
-  std::vector<std::uint64_t> good;
-  cc.init_packed(pi_words, good);
-  cc.eval_packed(good);
-  std::vector<std::uint64_t> faulty;
-  packed_line_fault(pi_words, fault, faulty);
-  for (const logic::NetId po : ckt_.primary_outputs())
-    if (((good[static_cast<std::size_t>(po)] ^
-          faulty[static_cast<std::size_t>(po)]) &
-         1ull) != 0)
-      return true;
-  return false;
+  const EvalContext ctx(ckt_, {pattern});
+  return line_fault_detected(ctx, fault, 0);
 }
 
 bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
                                          const Fault& fault,
                                          std::size_t pattern_index) const {
+  using logic::CompiledCircuit;
   check_context(ctx);
   if (fault.site == FaultSite::kGateTransistor)
     throw std::invalid_argument("line_fault_detected: transistor fault");
   if (pattern_index >= ctx.pattern_count())
     throw std::invalid_argument("line_fault_detected: bad pattern index");
-  if (!ctx.packed())
-    return line_fault_detected(fault, ctx.patterns()[pattern_index]);
+  const CompiledCircuit::LineFault lf = checked_line_fault(ckt_, fault);
+  if (!ctx.packed()) {
+    // Other patterns of the context carry X; this one may still be binary.
+    const Pattern& p = ctx.patterns()[pattern_index];
+    if (!std::all_of(p.begin(), p.end(), logic::is_binary))
+      throw std::invalid_argument("line_fault_detected: X in pattern");
+    return line_fault_detected(fault, p);
+  }
+  // The batch kernel with one lane, over the strip from the kSimdWords-
+  // aligned word holding the pattern (plane offsets must stay aligned with
+  // the padded stride) and an active mask selecting that pattern alone.
   const std::size_t w = pattern_index / 64;
-  const EvalContext::Batch& batch = ctx.batches()[w];
-  const std::uint64_t bit = 1ull << (pattern_index % 64);
-  std::vector<std::uint64_t> faulty;
-  packed_line_fault(batch.pi_words, fault, faulty);
-  for (const logic::NetId po : ckt_.primary_outputs())
-    if (((ctx.good_plane(po)[w] ^ faulty[static_cast<std::size_t>(po)]) &
-         bit) != 0)
-      return true;
-  return false;
+  const std::size_t w0 = w / CompiledCircuit::kSimdWords *
+                         CompiledCircuit::kSimdWords;
+  std::uint64_t active[CompiledCircuit::kSimdWords] = {};
+  active[w - w0] = 1ull << (pattern_index % 64);
+  std::uint64_t det[CompiledCircuit::kSimdWords] = {};
+  std::vector<std::uint64_t> lane_scratch;
+  (void)sim_.compiled().eval_packed_line_batch(
+      ctx.good_planes() + w0, ctx.plane_stride(), w - w0 + 1, active, &lf, 1,
+      det, lane_scratch);
+  return det[w - w0] != 0;
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_fault(
@@ -493,9 +413,7 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
   const bool potential_possible = fa.marginal_detectable || fa.needs_sequence;
   const bool iddq_possible = options.observe_iddq && fa.iddq_detectable;
   // With none of them possible the empty record is exact without any pass.
-  if (options.drop_detected && !output_possible && !potential_possible &&
-      !iddq_possible)
-    return rec;
+  if (!output_possible && !potential_possible && !iddq_possible) return rec;
   const logic::CompiledCircuit& cc = sim_.compiled();
   const std::size_t n_words = ctx.word_count();
   std::vector<std::uint64_t>& diff = scratch.diff;
@@ -508,50 +426,10 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
   logic::CompiledCircuit::RetainedOutput* const carry =
       options.sequential_patterns ? &retained : nullptr;
 
-  if (!options.drop_detected && !first_only) {
-    // Full pass, no early exit: an IDDQ-only excitation in a late word must
-    // be observed.  Branch-free OR-accumulation first (the compiler
-    // vectorizes this flat loop; a branchy word-at-a-time scan was a
-    // measurable slice of the per-fault cost once the kernel itself was
-    // batched), then an early-exiting second pass for the first detecting
-    // pattern only when something actually hit.
-    diff.resize(n_words);
-    contention.resize(n_words);
-    if (dual) potential.resize(n_words);
-    cc.eval_packed_faulty_planes(ctx.good_planes(), ctx.plane_stride(),
-                                 n_words, fault.gate, fa, diff.data(),
-                                 contention.data(), potential.data(), carry,
-                                 scratch.lanes);
-    std::uint64_t any_d = 0;
-    std::uint64_t any_c = 0;
-    std::uint64_t any_x = 0;
-    for (std::size_t w = 0; w < n_words; ++w) {
-      any_d |= diff[w] & active[w];
-      any_c |= contention[w] & active[w];
-    }
-    if (dual)
-      for (std::size_t w = 0; w < n_words; ++w)
-        any_x |= potential[w] & active[w];
-    rec.detected_output = any_d != 0;
-    rec.detected_iddq = options.observe_iddq && any_c != 0;
-    rec.potential = any_x != 0;
-    if (any_d != 0 || rec.detected_iddq) {
-      for (std::size_t w = 0; w < n_words; ++w) {
-        const std::uint64_t hit =
-            (diff[w] | (options.observe_iddq ? contention[w] : 0)) & active[w];
-        if (hit != 0) {
-          rec.first_pattern = static_cast<int>(w * 64) + __builtin_ctzll(hit);
-          break;
-        }
-      }
-    }
-    return rec;
-  }
-
-  // --- Strip-mined walk (dropping and/or first-only).  In full mode the
-  // walk stops only once no later word can change the record: output,
-  // IDDQ and potential sides each either seen or impossible — so the
-  // record is bit-identical to the full pass above.  In first-only mode
+  // --- Strip-mined walk with fault dropping.  In full mode the walk stops
+  // only once no later word can change the record: output, IDDQ and
+  // potential sides each either seen or impossible — so the record is
+  // bit-identical to one pass over every word.  In first-only mode
   // the walk stops at the word holding the first counted detection, with
   // that word's contributions masked to patterns at or before the hit
   // bit: exactly the prefix the serial path sees before its break.  The

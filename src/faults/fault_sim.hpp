@@ -1,7 +1,9 @@
 // Fault simulation over a shared EvalContext.  Every fault on a packed
-// context (fully specified patterns) runs on the SoA bit planes:
-//   * line stuck-at faults through the multi-fault batch kernel (or
-//     critical-path tracing on fan-out-free single-output cones);
+// context (fully specified patterns) runs on the SoA bit planes, one
+// kernel per fault shape:
+//   * line stuck-at faults through the multi-fault batch kernel, or by
+//     critical-path tracing wherever the context's circuit is a fan-out-free
+//     single-output cone (chosen by circuit shape, not by an option);
 //   * transistor faults through one fan-out-cone kernel — binary
 //     dictionaries as a table substitution on the value rail, dictionaries
 //     with marginal (X) or floating rows on dual rails, where floating
@@ -11,7 +13,10 @@
 //   * IDDQ observation of the paper's polarity faults from the
 //     dictionary's contention rows.
 // Only contexts with X-bearing patterns fall back to the serial scalar
-// routine, one circuit walk per pattern with retained state.
+// routine, one circuit walk per pattern with retained state.  Fault
+// dropping is always on: a fault leaves the walk once nothing more can be
+// learned about it, which never changes a kFull record.  The slow
+// references these paths are pinned against live in the tests and benches.
 //
 // All fault-independent work (pattern packing, the good machine, the
 // switch-level dictionaries) lives in a faults::EvalContext built once per
@@ -52,7 +57,9 @@ struct DetectionRecord {
 enum class DetectionMode {
   /// Flags aggregate over the whole pattern set: detected_output,
   /// detected_iddq and potential reflect every pattern (the historical
-  /// semantics; byte-identical reports regardless of work reduction).
+  /// semantics; fault dropping and critical-path tracing only skip work
+  /// whose outcome is already decided, so records match an exhaustive
+  /// walk bit for bit).
   kFull,
   /// Simulation of a fault may stop at its first counted detection:
   /// flags reflect only patterns up to and including that one (exactly
@@ -62,10 +69,6 @@ enum class DetectionMode {
   kFirstOnly,
 };
 
-/// Default for the process-local work-reduction switches: on unless the
-/// environment sets CPSINW_WORK_REDUCTION=off (the CI equivalence leg).
-[[nodiscard]] bool work_reduction_default();
-
 /// Controls for a fault-simulation run.
 struct FaultSimOptions {
   /// Count IDDQ anomalies as detections (the paper's polarity faults in
@@ -74,29 +77,6 @@ struct FaultSimOptions {
   /// Thread net state across consecutive patterns so floating outputs
   /// retain charge (enables two-pattern stuck-open detection).
   bool sequential_patterns = true;
-  /// Evaluate line faults in groups of CompiledCircuit::kBatchLanes
-  /// through the multi-fault batch kernel (one forward walk shared by the
-  /// whole group) instead of one packed pass per fault per batch.
-  /// Bit-identical to the single-fault path — the switch exists for the
-  /// equivalence tests and the bench's before/after legs.  Process-local:
-  /// deliberately not serialized on the shard_io wire (both settings
-  /// produce identical records, so remote workers may pick either).
-  bool batch_line_faults = true;
-  /// Fault dropping: stop simulating a fault once nothing more can be
-  /// learned about it.  Line faults leave the active universe at their
-  /// first detecting word (the batched walk refills freed lanes from
-  /// pending faults strip by strip); transistor faults stop once every
-  /// observable of their dictionary (PO flip, IDDQ excitation, X at a PO)
-  /// has fired or is impossible.  In kFull detection mode the records are
-  /// bit-identical with dropping on or off, so this stays process-local
-  /// (not serialized on the shard_io wire), like batch_line_faults.
-  bool drop_detected = work_reduction_default();
-  /// Critical-path-tracing fast path: for contexts whose circuit is a
-  /// single-output fan-out-free cone (EvalContext::cpt_available()), line
-  /// stuck-at detection is deduced from the good-machine planes alone —
-  /// no faulty pass at all.  Exact there (no reconvergence can mask), so
-  /// records stay bit-identical; process-local like the switches above.
-  bool critical_path_tracing = work_reduction_default();
   /// Contract for per-fault flags after the first counted detection (see
   /// DetectionMode).  kFirstOnly is serialized on the shard_io wire — it
   /// changes records, so every worker must agree.
@@ -186,10 +166,10 @@ class FaultSimulator {
 
   /// Engine hook: simulates the contiguous sub-range [begin, end) of a
   /// fault list, returning records parallel to that range.  Each fault is
-  /// self-contained (line faults via packed batches, transistor faults via
-  /// their own retained-state sequence), so concatenating the records of a
-  /// partition of [0, size) is bit-identical to one `run` over the whole
-  /// list — this is what makes campaign sharding deterministic.
+  /// self-contained (line faults via their own detection words, transistor
+  /// faults via their own retained-state sequence), so concatenating the
+  /// records of a partition of [0, size) is bit-identical to one `run` over
+  /// the whole list — this is what makes campaign sharding deterministic.
   [[nodiscard]] std::vector<DetectionRecord> run_range(
       const std::vector<Fault>& faults, std::size_t begin, std::size_t end,
       const std::vector<logic::Pattern>& patterns,
@@ -198,22 +178,25 @@ class FaultSimulator {
   /// Context-based range hook: what campaign shards actually execute.  All
   /// shards of a job share one EvalContext instead of re-packing patterns
   /// and re-simulating the good machine per shard.  When `stats` is
-  /// non-null and the batched line path runs, its occupancy accounting is
-  /// merged in; when `paths` is non-null, the transistor faults of the
-  /// range are counted per evaluation path.
+  /// non-null, the line faults' occupancy accounting is merged in; when
+  /// `paths` is non-null, the transistor faults of the range are counted
+  /// per evaluation path.
   [[nodiscard]] std::vector<DetectionRecord> run_range(
       const EvalContext& ctx, const std::vector<Fault>& faults,
       std::size_t begin, std::size_t end, const FaultSimOptions& options = {},
       LineBatchStats* stats = nullptr,
       TransistorPathStats* paths = nullptr) const;
 
-  /// Single line-fault / single-pattern check (used by ATPG verification).
+  /// Single line-fault / single-pattern check (builds a local one-pattern
+  /// context).
+  /// @throws std::invalid_argument on a transistor fault, a malformed
+  ///   line fault, or an X in the pattern
   [[nodiscard]] bool line_fault_detected(const Fault& fault,
                                          const logic::Pattern& pattern) const;
 
   /// Context-based variant for ATPG verification loops: checks the fault
-  /// against pattern `pattern_index` of the context without re-packing or
-  /// re-simulating the good machine per call.
+  /// against pattern `pattern_index` of the context with the batch kernel
+  /// at one lane, without re-packing or re-simulating the good machine.
   [[nodiscard]] bool line_fault_detected(const EvalContext& ctx,
                                          const Fault& fault,
                                          std::size_t pattern_index) const;
@@ -239,26 +222,17 @@ class FaultSimulator {
   [[nodiscard]] const logic::Circuit& circuit() const { return ckt_; }
 
  private:
-  /// Packed faulty simulation with a line forced to a constant, written
-  /// into `values` — a scratch buffer the callers reuse across faults and
-  /// batches (the interpreted predecessor allocated a fresh vector per
-  /// fault per batch).
-  void packed_line_fault(const std::vector<std::uint64_t>& pi_words,
-                         const Fault& fault,
-                         std::vector<std::uint64_t>& values) const;
-
-  /// Batched line-fault path of run_range: validates and gathers the line
-  /// faults of [begin, end), sorts them by injection position, and feeds
+  /// Line-fault path of run_range: validates and gathers the line faults
+  /// of [begin, end), sorts them by injection position, and feeds
   /// kBatchLanes-sized groups through eval_packed_line_batch, deriving
-  /// each fault's DetectionRecord from its detection words.  With
+  /// each fault's DetectionRecord from its detection words.  The word
+  /// range is walked in strips and detected faults leave the groups
+  /// between strips (freed lanes refill from the surviving faults).  With
   /// critical-path tracing available the whole range resolves from the
-  /// good planes instead; with dropping on, the word range is walked in
-  /// strips and detected faults leave the groups between strips (freed
-  /// lanes refill from the surviving faults).  All shapes bit-identical.
+  /// good planes instead.  Both shapes bit-identical.
   void run_line_faults_batched(const EvalContext& ctx,
                                const std::vector<Fault>& faults,
                                std::size_t begin, std::size_t end,
-                               const FaultSimOptions& options,
                                std::vector<DetectionRecord>& records,
                                LineBatchStats* stats) const;
 

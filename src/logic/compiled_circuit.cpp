@@ -140,100 +140,6 @@ bool CompiledCircuit::eval_scalar_faulty(
   return iddq;
 }
 
-// ---- packed kernels -------------------------------------------------------
-
-void CompiledCircuit::init_packed(const std::vector<std::uint64_t>& pi_words,
-                                  std::vector<std::uint64_t>& values) const {
-  assert(pi_words.size() == ckt_->primary_inputs().size());
-  values.assign(static_cast<std::size_t>(ckt_->net_count()), 0);
-  for (const NetId n : const_one_)
-    values[static_cast<std::size_t>(n)] = ~0ull;
-  const std::vector<NetId>& pis = ckt_->primary_inputs();
-  for (std::size_t i = 0; i < pi_words.size(); ++i)
-    values[static_cast<std::size_t>(pis[i])] = pi_words[i];
-}
-
-void CompiledCircuit::eval_packed_range(std::uint64_t* values,
-                                        std::size_t from,
-                                        std::size_t to) const {
-  for (std::size_t k = from; k < to; ++k) {
-    const GateRec& g = gates_[k];
-    values[g.out] = eval_cell_packed(g.kind, values[g.in[0]], values[g.in[1]],
-                                     values[g.in[2]]);
-  }
-}
-
-void CompiledCircuit::eval_packed(std::vector<std::uint64_t>& values) const {
-  assert(values.size() == static_cast<std::size_t>(ckt_->net_count()));
-  eval_packed_range(values.data(), 0, gates_.size());
-}
-
-void CompiledCircuit::eval_packed_line(std::vector<std::uint64_t>& values,
-                                       const LineFault& fault) const {
-  assert(values.size() == static_cast<std::size_t>(ckt_->net_count()));
-  std::uint64_t* const v = values.data();
-  const std::uint64_t forced = fault.stuck_one ? ~0ull : 0ull;
-
-  if (fault.net >= 0) {
-    // Stem: the net holds the forced word everywhere, so its driver's
-    // write is dead — skip the driver instead of overriding per gate.
-    v[fault.net] = forced;
-    const int driver = ckt_->driver_of(fault.net);
-    if (driver < 0) {
-      eval_packed_range(v, 0, gates_.size());
-      return;
-    }
-    const std::size_t pos = position_of(driver);
-    eval_packed_range(v, 0, pos);
-    eval_packed_range(v, pos + 1, gates_.size());
-    return;
-  }
-
-  // Branch: exactly one pin of one gate sees the forced word.
-  const std::size_t pos = position_of(fault.gate);
-  eval_packed_range(v, 0, pos);
-  const GateRec& g = gates_[pos];
-  assert(fault.pin >= 0 && fault.pin < g.n_in);
-  std::uint64_t in[3] = {v[g.in[0]], v[g.in[1]], v[g.in[2]]};
-  in[fault.pin] = forced;
-  v[g.out] = eval_cell_packed(g.kind, in[0], in[1], in[2]);
-  eval_packed_range(v, pos + 1, gates_.size());
-}
-
-std::uint64_t CompiledCircuit::eval_packed_faulty(
-    std::vector<std::uint64_t>& values, int fault_gate,
-    const gates::FaultAnalysis& fa) const {
-  assert(values.size() == static_cast<std::size_t>(ckt_->net_count()));
-  assert(fa.compiled_binary);
-  std::uint64_t* const v = values.data();
-  const std::size_t pos = position_of(fault_gate);
-  eval_packed_range(v, 0, pos);
-
-  // Faulted gate: minterm expansion of the compiled truth/contention
-  // masks.  Its local inputs equal the good machine's (the circuit is
-  // acyclic and this is the only faulted gate), so the contention word
-  // doubles as the per-pattern IDDQ excitation mask.
-  const GateRec& g = gates_[pos];
-  const std::uint64_t in[3] = {v[g.in[0]], v[g.in[1]], v[g.in[2]]};
-  std::uint64_t out = 0;
-  std::uint64_t contention = 0;
-  const unsigned combos = 1u << g.n_in;
-  // Only rows < combos carry bits (the dictionary has exactly 2^n rows).
-  const unsigned active = fa.compiled_truth | fa.compiled_contention;
-  for (unsigned vec = 0; vec < combos; ++vec) {
-    if (((active >> vec) & 1u) == 0) continue;
-    std::uint64_t minterm = ~0ull;
-    for (unsigned i = 0; i < g.n_in; ++i)
-      minterm &= ((vec >> i) & 1u) != 0 ? in[i] : ~in[i];
-    if (((fa.compiled_truth >> vec) & 1u) != 0) out |= minterm;
-    if (((fa.compiled_contention >> vec) & 1u) != 0) contention |= minterm;
-  }
-  v[g.out] = out;
-
-  eval_packed_range(v, pos + 1, gates_.size());
-  return contention;
-}
-
 // ---- SoA bit-plane kernels ------------------------------------------------
 //
 // The bodies live in logic/packed_kernels.hpp as templates over a 4x64-bit
@@ -241,8 +147,9 @@ std::uint64_t CompiledCircuit::eval_packed_faulty(
 // on aarch64), while compiled_circuit_avx2.cpp — the only TU built with
 // -mavx2 — provides the __m256i instantiations behind the *_avx2 entry
 // points and compiled_circuit_avx512.cpp — the only TU built with
-// -mavx512f -mavx512vl — the VPTERNLOGQ variants behind *_avx512.  Dispatch is per call on simd::active_backend(), so the bench
-// and the bit-identity tests can flip backends inside one process.
+// -mavx512f -mavx512vl — the VPTERNLOGQ variants behind *_avx512.
+// Dispatch is per call on simd::active_backend(), so the bench and the
+// bit-identity tests can flip backends inside one process.
 
 void CompiledCircuit::init_packed_planes(
     const std::uint64_t* pi_planes, std::size_t stride,

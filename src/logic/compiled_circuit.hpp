@@ -1,6 +1,10 @@
 // One-time compilation of a finalized Circuit into levelized, table-driven
-// arrays: the single evaluation kernel under scalar simulation, packed
-// 64-pattern fault simulation, and the ATPG forward-implication passes.
+// arrays: the single evaluation kernel under scalar simulation, fault
+// simulation on SoA bit planes, and the ATPG forward-implication passes.
+// There is one packed representation (the planes below) and one kernel per
+// fault shape: eval_packed_line_batch for line stuck-at faults,
+// eval_packed_faulty_planes for transistor faults on binary patterns, and
+// eval_scalar_faulty for X-bearing patterns.
 //
 // The compiler flattens the gate list into topological order (exactly
 // Circuit::topo_order(), so every consumer sees the same evaluation
@@ -109,30 +113,6 @@ class CompiledCircuit {
                           const gates::FaultAnalysis& fa,
                           const std::vector<LogicV>* previous_state) const;
 
-  // ---- packed 64-pattern kernels -------------------------------------------
-
-  /// Seeds `values` for a packed pass: 0 everywhere, ~0 on constant-1
-  /// slots, the packed PI words over the primary inputs.
-  void init_packed(const std::vector<std::uint64_t>& pi_words,
-                   std::vector<std::uint64_t>& values) const;
-
-  /// Packed good-machine forward pass, in place.
-  void eval_packed(std::vector<std::uint64_t>& values) const;
-
-  /// Packed pass with one line forced to a constant.  A stem fault skips
-  /// the forced net's driver entirely; a branch fault overrides one pin of
-  /// one gate — no per-gate fault checks remain in the loop.
-  void eval_packed_line(std::vector<std::uint64_t>& values,
-                        const LineFault& fault) const;
-
-  /// Packed pass with `fault_gate` substituted by the compiled
-  /// truth/contention masks of `fa` (valid only when fa.compiled_binary).
-  /// @returns the contention word (bit k: pattern k excites a contention
-  ///   row — the per-pattern IDDQ excitation mask)
-  std::uint64_t eval_packed_faulty(std::vector<std::uint64_t>& values,
-                                   int fault_gate,
-                                   const gates::FaultAnalysis& fa) const;
-
   // ---- SoA bit-plane kernels (multi-word, multi-fault, SIMD) ---------------
   //
   // Layout: planes[net * stride + w] holds pattern word `w` of net `net` —
@@ -165,9 +145,9 @@ class CompiledCircuit {
 
   /// Good-machine forward pass over every plane word, in place.  Walks
   /// kSimdWords-word groups in the outer loop so each group's working set
-  /// is one vector register per net.  Bit-identical to eval_packed per
-  /// word on every backend (the 2-input cells' 4-valued tables reduce to
-  /// the same bitwise forms on binary planes).
+  /// is one vector register per net.  Bit-identical to the interpreted
+  /// simulate_packed per word on every backend (the 2-input cells'
+  /// 4-valued tables reduce to the same bitwise forms on binary planes).
   void eval_packed_planes(std::vector<std::uint64_t>& planes,
                           std::size_t stride) const;
 
@@ -230,8 +210,6 @@ class CompiledCircuit {
 
  private:
   void eval_scalar_range(LogicV* values, std::size_t from,
-                         std::size_t to) const;
-  void eval_packed_range(std::uint64_t* values, std::size_t from,
                          std::size_t to) const;
 
   const Circuit* ckt_;

@@ -97,7 +97,7 @@ struct PackedValues {
 
 /// Parallel good-machine simulation of up to 64 packed patterns.
 /// Interpreted reference implementation (walks GateInst records directly);
-/// the hot paths run CompiledCircuit::eval_packed instead, which is
+/// the hot paths run CompiledCircuit::eval_packed_planes instead, which is
 /// bit-identical — the golden suites compare the two.
 /// @param pi_words per-PI packed values (as from pack_patterns)
 /// @returns per-net packed values

@@ -190,8 +190,8 @@ std::size_t eval_line_batch_t(const CompiledCircuit& cc,
   // net's lanes are only valid when its epoch equals the current strip's;
   // every other net reads straight from the good planes.  This keeps the
   // per-word cost proportional to the walked suffix, not to net_count (a
-  // full per-word broadcast of the good machine would cost as much as the
-  // single-fault path's init_packed and cancel the batching win).  The
+  // full per-word broadcast of the good machine would cost as much as a
+  // whole-circuit walk per fault and cancel the batching win).  The
   // counter persists across calls sharing the scratch, so the epochs are
   // zeroed once per scratch lifetime, not once per kernel call.
   const std::size_t need = n_net * (kLanes * kGroups + 1) + 1;

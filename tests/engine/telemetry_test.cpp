@@ -1,9 +1,11 @@
 // Campaign telemetry: exact concurrent metric accounting, Chrome
 // trace-event export with well-formed per-lane spans, the shard_io
-// `stats` round trip against a live loopback server, and — most load-
-// bearing of all — the guarantee that all of it is invisible in the
-// stable campaign JSON unless explicitly opted into.
+// `stats` round trip against a live loopback server (which must survive a
+// hostile deeply nested frame), and — most load-bearing of all — the
+// guarantee that all of it is invisible in the stable campaign JSON unless
+// explicitly opted into.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -13,6 +15,7 @@
 
 #include "engine/campaign.hpp"
 #include "engine/json_reader.hpp"
+#include "engine/net.hpp"
 #include "engine/remote_executor.hpp"
 #include "engine/shard_io.hpp"
 #include "engine/telemetry.hpp"
@@ -331,6 +334,49 @@ TEST(StatsIo, LiveServerScrapeAfterRemoteCampaign) {
   for (const JobReport& jr : report.jobs)
     campaign_shards += static_cast<std::size_t>(jr.shard_count);
   EXPECT_GE(shards_served, campaign_shards);
+}
+
+// The JSON reader bounds its nesting depth: 100,000 '[' (a 100 KB frame,
+// far inside net::kMaxFrameBytes) is a diagnostic with a byte offset, not
+// a stack overflow, while nesting up to the bound still parses.
+TEST(StatsIo, DeeplyNestedJsonIsRejectedWithAnOffset) {
+  const int depth = JsonParser::kMaxDepth;
+  EXPECT_NO_THROW((void)parse_json(std::string(depth, '[') +
+                                   std::string(depth, ']')));
+  try {
+    (void)parse_json(std::string(100000, '['));
+    ADD_FAILURE() << "deep nesting parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte " + std::to_string(depth)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The same document sent as one frame to a live shard server: the server
+// drops that request and keeps answering `stats`.
+TEST(StatsIo, ServerSurvivesADeeplyNestedFrame) {
+  net::LocalServerProcess server(test_util::server_path());
+  ASSERT_TRUE(server.ok()) << server.error();
+  std::string error;
+  const int fd = net::connect_endpoint(net::parse_endpoint(server.endpoint()),
+                                       net::deadline_after(10.0), &error);
+  ASSERT_GE(fd, 0) << error;
+  ASSERT_TRUE(net::send_frame(fd, std::string(100000, '['),
+                              net::deadline_after(10.0), &error))
+      << error;
+  std::string reply;
+  EXPECT_FALSE(net::recv_frame(fd, &reply, net::deadline_after(10.0),
+                               net::kMaxFrameBytes, &error));
+  ::close(fd);
+
+  ServerStats stats;
+  ASSERT_TRUE(query_server_stats(server.endpoint(), 10.0, &stats, &error))
+      << error;
+  const telemetry::CounterValue* bad =
+      stats.metrics.find_counter("server.bad_requests");
+  ASSERT_NE(bad, nullptr);
+  EXPECT_EQ(bad->value, 1u);
 }
 
 TEST(StatsIo, QueryRefusedEndpointFailsCleanly) {

@@ -2,11 +2,11 @@
 // on a packed context — binary dictionaries on the value rail, marginal
 // and floating ones on value + X rails — must produce exactly the serial
 // oracle's record (serial_oracle.hpp) under every combination of IDDQ
-// observation, pattern sequencing, detection mode and fault dropping, on
-// every SIMD backend this build and CPU can run.  Pattern sets are long
-// enough (>= 300) to cross the 64-pattern word boundary and the first
-// dropping strip (kSimdWords words), which is where the retained output
-// of a floating gate has to be carried.
+// observation, pattern sequencing and detection mode, with fault dropping
+// always on, on every SIMD backend this build and CPU can run.  Pattern
+// sets are long enough (>= 300) to cross the 64-pattern word boundary and
+// the first dropping strip (kSimdWords words), which is where the retained
+// output of a floating gate has to be carried.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "logic/compiled_circuit.hpp"
 #include "logic/simd.hpp"
 #include "serial_oracle.hpp"
-#include "util/rng.hpp"
 
 namespace cpsinw::faults {
 namespace {
@@ -31,17 +30,7 @@ using logic::LogicV;
 using logic::Pattern;
 using test::reference_transistor;
 
-std::vector<Pattern> random_patterns(const Circuit& ckt, int count,
-                                     std::uint64_t seed) {
-  util::SplitMix64 rng(seed);
-  std::vector<Pattern> out;
-  for (int k = 0; k < count; ++k) {
-    Pattern p(ckt.primary_inputs().size());
-    for (LogicV& v : p) v = logic::from_bool(rng.chance(0.5));
-    out.push_back(std::move(p));
-  }
-  return out;
-}
+using test::random_patterns;
 
 struct Named {
   std::string name;
@@ -91,8 +80,7 @@ void expect_record_eq(const DetectionRecord& got, const DetectionRecord& want,
   EXPECT_EQ(got.first_pattern, want.first_pattern) << label;
 }
 
-/// The eight record-shaping option combinations (dropping is varied
-/// separately: it must never change a record).
+/// The eight record-shaping option combinations.
 std::vector<FaultSimOptions> record_options() {
   std::vector<FaultSimOptions> out;
   for (const bool iddq : {false, true})
@@ -112,8 +100,7 @@ std::string describe(const FaultSimOptions& o) {
   return std::string(" iddq=") + (o.observe_iddq ? "1" : "0") +
          " seq=" + (o.sequential_patterns ? "1" : "0") +
          (o.detection_mode == DetectionMode::kFirstOnly ? " first_only"
-                                                        : " full") +
-         " drop=" + (o.drop_detected ? "1" : "0");
+                                                        : " full");
 }
 
 /// A stuck-open with a two-pattern test: the (init, test) pair plus the
@@ -160,21 +147,17 @@ TEST(DualRail, RandomizedRosterMatchesSerialOracleEverywhere) {
         want.push_back(reference_transistor(w.ckt, f, patterns, base));
       for (const bool portable : portable_settings()) {
         const ForcePortable pin(portable);
-        for (const bool drop : {false, true}) {
-          FaultSimOptions opt = base;
-          opt.drop_detected = drop;
-          TransistorPathStats paths;
-          const std::vector<DetectionRecord> got = fsim.run_range(
-              ctx, faults, 0, faults.size(), opt, nullptr, &paths);
-          EXPECT_EQ(paths.dual_rail, dual) << w.name;
-          EXPECT_EQ(paths.packed + paths.dual_rail, faults.size()) << w.name;
-          EXPECT_EQ(paths.scalar, 0u) << w.name;
-          for (std::size_t i = 0; i < faults.size(); ++i)
-            expect_record_eq(got[i], want[i],
-                             w.name + " fault " + std::to_string(i) +
-                                 describe(opt) +
-                                 (portable ? " portable" : " simd"));
-        }
+        TransistorPathStats paths;
+        const std::vector<DetectionRecord> got = fsim.run_range(
+            ctx, faults, 0, faults.size(), base, nullptr, &paths);
+        EXPECT_EQ(paths.dual_rail, dual) << w.name;
+        EXPECT_EQ(paths.packed + paths.dual_rail, faults.size()) << w.name;
+        EXPECT_EQ(paths.scalar, 0u) << w.name;
+        for (std::size_t i = 0; i < faults.size(); ++i)
+          expect_record_eq(got[i], want[i],
+                           w.name + " fault " + std::to_string(i) +
+                               describe(base) +
+                               (portable ? " portable" : " simd"));
       }
     }
   }
@@ -202,13 +185,9 @@ TEST(DualRail, RetentionCarriesAcrossWordAndStripBoundaries) {
         }
         for (const bool portable : portable_settings()) {
           const ForcePortable pin(portable);
-          for (const bool drop : {false, true}) {
-            FaultSimOptions opt = base;
-            opt.drop_detected = drop;
-            expect_record_eq(
-                fsim.run_range(ctx, {tp.fault}, 0, 1, opt)[0], want,
-                "pair at " + std::to_string(at) + describe(opt));
-          }
+          expect_record_eq(fsim.run_range(ctx, {tp.fault}, 0, 1, base)[0],
+                           want,
+                           "pair at " + std::to_string(at) + describe(base));
         }
       }
     }
@@ -231,12 +210,8 @@ void expect_potential_masked(const FaultSimulator& fsim, const Circuit& ckt,
   const EvalContext ctx(ckt, patterns);
   for (const bool portable : portable_settings()) {
     const ForcePortable pin(portable);
-    for (const bool drop : {false, true}) {
-      FaultSimOptions opt = first;
-      opt.drop_detected = drop;
-      const DetectionRecord got = fsim.run_range(ctx, {f}, 0, 1, opt)[0];
-      expect_record_eq(got, want, label + describe(opt));
-    }
+    const DetectionRecord got = fsim.run_range(ctx, {f}, 0, 1, first)[0];
+    expect_record_eq(got, want, label + describe(first));
   }
 }
 
@@ -333,12 +308,8 @@ TEST(DualRail, FloatingOnlyDictionaryDetectedThroughRetention) {
         EXPECT_TRUE(want.detected_output);
         EXPECT_EQ(want.first_pattern, 261);
       }
-      for (const bool drop : {false, true}) {
-        FaultSimOptions opt = base;
-        opt.drop_detected = drop;
-        expect_record_eq(fsim.run_range(ctx, {tp.fault}, 0, 1, opt)[0], want,
-                         describe(opt));
-      }
+      expect_record_eq(fsim.run_range(ctx, {tp.fault}, 0, 1, base)[0], want,
+                       describe(base));
     }
   }
   EXPECT_GT(checked, 0u) << "c17 has no floating-only stuck-open";

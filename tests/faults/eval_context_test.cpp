@@ -1,7 +1,7 @@
 // Golden-equivalence suite for the shared evaluation context: the
 // context-based run/run_range paths — including the plane transistor
 // kernel on both rails — must be bit-identical to the seed's serial
-// algorithm (serial_oracle.hpp).
+// algorithms (serial_oracle.hpp).
 #include "faults/eval_context.hpp"
 
 #include <gtest/gtest.h>
@@ -11,41 +11,16 @@
 #include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 #include "serial_oracle.hpp"
-#include "util/rng.hpp"
 
 namespace cpsinw::faults {
 namespace {
 
 using logic::LogicV;
 using logic::Pattern;
+using test::reference_line;
 using test::reference_transistor;
 
-std::vector<Pattern> random_patterns(const logic::Circuit& ckt, int count,
-                                     std::uint64_t seed) {
-  util::SplitMix64 rng(seed);
-  std::vector<Pattern> out;
-  for (int k = 0; k < count; ++k) {
-    Pattern p(ckt.primary_inputs().size());
-    for (LogicV& v : p) v = logic::from_bool(rng.chance(0.5));
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
-/// Reference for line faults: the untouched single-pattern check, one
-/// pattern at a time (equivalent to the seed's packed batches).
-DetectionRecord reference_line(const FaultSimulator& fsim, const Fault& fault,
-                               const std::vector<Pattern>& patterns) {
-  DetectionRecord rec;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    if (fsim.line_fault_detected(fault, patterns[pi])) {
-      rec.detected_output = true;
-      rec.first_pattern = static_cast<int>(pi);
-      break;
-    }
-  }
-  return rec;
-}
+using test::random_patterns;
 
 void expect_record_eq(const DetectionRecord& got, const DetectionRecord& want,
                       const std::string& label) {
@@ -101,9 +76,7 @@ TEST(EvalContext, RunMatchesSeedSerialReferenceForAllFaultClasses) {
         for (std::size_t fi = 0; fi < w.faults.size(); ++fi) {
           const Fault& f = w.faults[fi];
           const DetectionRecord want =
-              f.site == FaultSite::kGateTransistor
-                  ? reference_transistor(w.ckt, f, w.patterns, opt)
-                  : reference_line(fsim, f, w.patterns);
+              test::reference_record(w.ckt, f, w.patterns, opt);
           expect_record_eq(got.records[fi], want,
                            w.name + " fault " + std::to_string(fi) +
                                " iddq=" + std::to_string(observe_iddq) +
@@ -221,7 +194,7 @@ TEST(EvalContext, XBearingPatternsStayScalarAndRejectLineFaults) {
   patterns[2][0] = LogicV::kX;
   const EvalContext ctx(ckt, patterns);
   EXPECT_FALSE(ctx.packed());
-  EXPECT_TRUE(ctx.batches().empty());
+  EXPECT_EQ(ctx.word_count(), 0u);
 
   const FaultSimulator fsim(ckt);
   // Transistor faults still simulate (scalar serial path)...
@@ -239,20 +212,33 @@ TEST(EvalContext, XBearingPatternsStayScalarAndRejectLineFaults) {
   // ...while the packed line path refuses, like the seed did.
   const Fault line = Fault::net_stuck(ckt.primary_outputs()[0], false);
   EXPECT_THROW((void)fsim.run(ctx, {line}, {}), std::invalid_argument);
+  // The single-pattern check still answers for a binary pattern of the
+  // context and refuses the X-bearing one.
+  EXPECT_EQ(fsim.line_fault_detected(ctx, line, 1),
+            reference_line(ckt, line, {patterns[1]}).detected_output);
+  EXPECT_THROW((void)fsim.line_fault_detected(ctx, line, 2),
+               std::invalid_argument);
 }
 
-TEST(EvalContext, LineFaultDetectedOverloadMatchesSinglePatternCheck) {
+TEST(EvalContext, LineFaultDetectedOverloadsMatchOracle) {
+  // 300 patterns: indices land in every word of the first kSimdWords
+  // strip and past it, so the one-lane strip starts at aligned words > 0.
   const Workload w = workloads()[0];
+  const std::vector<Pattern> patterns = random_patterns(w.ckt, 300, 17);
   const FaultSimulator fsim(w.ckt);
-  const EvalContext ctx(w.ckt, w.patterns);
+  const EvalContext ctx(w.ckt, patterns);
   int line_faults = 0;
   for (const Fault& f : w.faults) {
     if (f.site == FaultSite::kGateTransistor) continue;
     if (++line_faults % 3 != 0) continue;  // subsample for speed
-    for (std::size_t pi = 0; pi < w.patterns.size(); pi += 5)
-      EXPECT_EQ(fsim.line_fault_detected(ctx, f, pi),
-                fsim.line_fault_detected(f, w.patterns[pi]))
+    for (std::size_t pi = 0; pi < patterns.size(); pi += 7) {
+      const bool want =
+          reference_line(w.ckt, f, {patterns[pi]}).detected_output;
+      EXPECT_EQ(fsim.line_fault_detected(ctx, f, pi), want)
           << "pattern " << pi;
+      EXPECT_EQ(fsim.line_fault_detected(f, patterns[pi]), want)
+          << "pattern " << pi;
+    }
   }
   EXPECT_GT(line_faults, 0);
 }

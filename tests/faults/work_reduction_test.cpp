@@ -1,9 +1,9 @@
 // Work-reduction equivalence suite: fault dropping and critical-path
-// tracing must be invisible in full detection mode (bit-identical records
-// with every switch combination), the first-only detection mode must be a
-// well-defined truncation contract that the plane paths and the serial
-// oracle agree on, and sampled-coverage accounting must survive shard
-// failures.
+// tracing are always on, and must be invisible in full detection mode —
+// records and campaign JSON equal to the exhaustive interpreted oracles
+// (serial_oracle.hpp) — the first-only detection mode must be a
+// well-defined truncation contract that the plane paths and the oracles
+// agree on, and sampled-coverage accounting must survive shard failures.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 
 #include "engine/campaign.hpp"
 #include "engine/executor.hpp"
+#include "engine/report.hpp"
 #include "engine/shard.hpp"
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
@@ -27,17 +28,8 @@ using logic::Circuit;
 using logic::LogicV;
 using logic::Pattern;
 
-std::vector<Pattern> random_patterns(const Circuit& ckt, int count,
-                                     std::uint64_t seed) {
-  util::SplitMix64 rng(seed);
-  std::vector<Pattern> out;
-  for (int k = 0; k < count; ++k) {
-    Pattern p(ckt.primary_inputs().size());
-    for (LogicV& v : p) v = logic::from_bool(rng.chance(0.5));
-    out.push_back(std::move(p));
-  }
-  return out;
-}
+using test::random_patterns;
+using test::reference_record;
 
 struct Named {
   std::string name;
@@ -64,54 +56,38 @@ void expect_record_eq(const DetectionRecord& got, const DetectionRecord& want,
   EXPECT_EQ(got.first_pattern, want.first_pattern) << label;
 }
 
-// In full detection mode every combination of the work-reduction switches
-// must produce bit-identical records: dropping, critical-path tracing,
-// batching, for universes mixing all fault classes, with and without IDDQ
-// observation.  The all-off corner is the PR-7 baseline.
-TEST(WorkReduction, FullModeRecordsIdenticalAcrossAllSwitches) {
+// In full detection mode the dropping and tracing paths must produce the
+// exhaustive oracles' records, for universes mixing all fault classes,
+// with and without IDDQ observation.
+TEST(WorkReduction, FullModeRecordsMatchOracles) {
   for (const Named& w : roster()) {
     // 130 patterns: > 2 words, so the strip schedule (4-word first strip,
     // 16-word wide strips) exercises narrow, wide and ragged strips.
-    const EvalContext ctx(w.ckt, random_patterns(w.ckt, 130, 7));
+    const auto patterns = random_patterns(w.ckt, 130, 7);
+    const EvalContext ctx(w.ckt, patterns);
     const FaultSimulator fsim(w.ckt);
     FaultListOptions flo;
     flo.cross_class_collapse = false;  // keep every class in the universe
     const std::vector<Fault> universe = generate_fault_list(w.ckt, flo);
 
     for (const bool iddq : {false, true}) {
-      FaultSimOptions base;
-      base.observe_iddq = iddq;
-      base.drop_detected = false;
-      base.critical_path_tracing = false;
-      const std::vector<DetectionRecord> want =
-          fsim.run_range(ctx, universe, 0, universe.size(), base);
-
-      for (const bool drop : {false, true}) {
-        for (const bool cpt : {false, true}) {
-          for (const bool batch : {false, true}) {
-            FaultSimOptions opt = base;
-            opt.drop_detected = drop;
-            opt.critical_path_tracing = cpt;
-            opt.batch_line_faults = batch;
-            const std::vector<DetectionRecord> got =
-                fsim.run_range(ctx, universe, 0, universe.size(), opt);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-              expect_record_eq(
-                  got[i], want[i],
-                  w.name + " iddq=" + std::to_string(iddq) + " drop=" +
-                      std::to_string(drop) + " cpt=" + std::to_string(cpt) +
-                      " batch=" + std::to_string(batch) + " fault " +
-                      std::to_string(i));
-          }
-        }
-      }
+      FaultSimOptions opt;
+      opt.observe_iddq = iddq;
+      const std::vector<DetectionRecord> got =
+          fsim.run_range(ctx, universe, 0, universe.size(), opt);
+      ASSERT_EQ(got.size(), universe.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        expect_record_eq(got[i],
+                         reference_record(w.ckt, universe[i], patterns, opt),
+                         w.name + " iddq=" + std::to_string(iddq) +
+                             " fault " + std::to_string(i));
     }
   }
 }
 
-// Critical-path tracing only arms on single-output fan-out-free cones and
-// resolves the whole line universe there without a kernel pass.
+// Critical-path tracing arms exactly on single-output fan-out-free cones
+// and resolves the whole line universe there without a kernel pass; any
+// other shape takes the batch kernel.
 TEST(WorkReduction, CriticalPathTracingQualificationAndStats) {
   const Circuit tree = logic::parity_tree(9);
   const EvalContext tree_ctx(tree, random_patterns(tree, 200, 11));
@@ -124,21 +100,18 @@ TEST(WorkReduction, CriticalPathTracingQualificationAndStats) {
   FaultListOptions flo;
   flo.include_transistor_faults = false;
   const std::vector<Fault> universe = generate_fault_list(tree, flo);
-  FaultSimOptions opt;
-  opt.critical_path_tracing = true;
   LineBatchStats stats;
   const FaultSimulator fsim(tree);
-  (void)fsim.run_range(tree_ctx, universe, 0, universe.size(), opt, &stats);
+  (void)fsim.run_range(tree_ctx, universe, 0, universe.size(), {}, &stats);
   EXPECT_EQ(stats.cpt_faults, universe.size());
   EXPECT_EQ(stats.groups, 0u);
 
-  LineBatchStats no_cpt_stats;
-  FaultSimOptions no_cpt = opt;
-  no_cpt.critical_path_tracing = false;
-  (void)fsim.run_range(tree_ctx, universe, 0, universe.size(), no_cpt,
-                       &no_cpt_stats);
-  EXPECT_EQ(no_cpt_stats.cpt_faults, 0u);
-  EXPECT_GT(no_cpt_stats.groups, 0u);
+  const std::vector<Fault> c17_universe = generate_fault_list(c17, flo);
+  LineBatchStats c17_stats;
+  (void)FaultSimulator(c17).run_range(c17_ctx, c17_universe, 0,
+                                      c17_universe.size(), {}, &c17_stats);
+  EXPECT_EQ(c17_stats.cpt_faults, 0u);
+  EXPECT_GT(c17_stats.groups, 0u);
 }
 
 // First-only mode: a fault's record equals the full-mode record of the
@@ -158,29 +131,18 @@ TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndPathsAgree) {
       full.observe_iddq = iddq;
       FaultSimOptions first = full;
       first.detection_mode = DetectionMode::kFirstOnly;
-      FaultSimOptions first_single = first;
-      first_single.batch_line_faults = false;
-      first_single.drop_detected = false;
-      first_single.critical_path_tracing = false;
 
       const auto full_rec =
           fsim.run_range(ctx, universe, 0, universe.size(), full);
       const auto got =
           fsim.run_range(ctx, universe, 0, universe.size(), first);
-      // Reference: the single-fault line walk, and for transistor faults
-      // the serial oracle.
-      auto serial =
-          fsim.run_range(ctx, universe, 0, universe.size(), first_single);
-      for (std::size_t i = 0; i < universe.size(); ++i)
-        if (universe[i].site == FaultSite::kGateTransistor)
-          serial[i] =
-              test::reference_transistor(w.ckt, universe[i], patterns, first);
-
       for (std::size_t i = 0; i < universe.size(); ++i) {
         const std::string label = w.name + " iddq=" + std::to_string(iddq) +
                                   " fault " + std::to_string(i);
-        // Packed/batched first-only equals serial first-only.
-        expect_record_eq(got[i], serial[i], label + " (paths)");
+        // Plane first-only equals the oracles' first-only.
+        expect_record_eq(got[i],
+                         reference_record(w.ckt, universe[i], patterns, first),
+                         label + " (paths)");
         // Same first counted detection as full mode; flags are the
         // truncated-pattern-list reference.
         EXPECT_EQ(got[i].first_pattern, full_rec[i].first_pattern) << label;
@@ -200,10 +162,56 @@ TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndPathsAgree) {
   }
 }
 
-// Campaign level: dropping (and CPT) off vs on is byte-identical in full
-// mode, including under fault sampling — work reduction must never touch
-// the sampled universe that forms the coverage denominator.
-TEST(WorkReduction, CampaignJsonIdenticalWithWorkReductionToggled) {
+/// The campaign of an inline, bridge-free spec rebuilt from the oracles:
+/// the same universes, patterns and shards, sampling replayed by
+/// fill_failed_shard, every simulated record taken from the oracles.
+engine::CampaignReport oracle_campaign(const engine::CampaignSpec& spec) {
+  const util::SplitMix64 campaign_rng(spec.seed);
+  engine::CampaignReport report;
+  report.seed = spec.seed;
+  report.shard_size = spec.shard_size;
+  report.pattern_source = engine::to_string(spec.patterns.kind);
+  report.fault_sample_fraction = spec.fault_sample_fraction;
+  report.observe_iddq = spec.sim.observe_iddq;
+  report.detection_mode = spec.detection_mode;
+  for (std::size_t j = 0; j < spec.jobs.size(); ++j) {
+    const Circuit& ckt = spec.jobs[j].circuit;
+    const std::vector<engine::CampaignFault> universe =
+        engine::build_universe(ckt, spec.models, spec.sim.observe_iddq);
+    const std::vector<Pattern> patterns = engine::build_patterns(
+        ckt, spec.patterns, campaign_rng.fork(2 * j));
+    const std::vector<engine::Shard> shards =
+        engine::make_shards(static_cast<int>(j), universe.size(),
+                            spec.shard_size, campaign_rng.fork(2 * j + 1));
+    engine::JobReport jr;
+    jr.circuit = spec.jobs[j].name;
+    jr.gate_count = ckt.gate_count();
+    jr.transistor_count = ckt.transistor_count();
+    jr.pattern_count = static_cast<int>(patterns.size());
+    for (const engine::Shard& shard : shards) {
+      engine::ShardResult sr;
+      engine::fill_failed_shard(universe, shard, spec.fault_sample_fraction,
+                                sr);
+      for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        engine::FaultResult& r = sr.results[i - shard.begin];
+        if (!r.sampled_out)
+          r.record =
+              reference_record(ckt, universe[i].fault, patterns, spec.sim);
+      }
+      engine::accumulate_shard(jr, sr, jr.pattern_count,
+                               spec.sim.observe_iddq);
+    }
+    report.jobs.push_back(std::move(jr));
+  }
+  return report;
+}
+
+// Campaign level: the thread-pool campaign with work reduction is
+// byte-identical to the oracle rebuild in full mode, including under fault
+// sampling — work reduction must never touch the sampled universe that
+// forms the coverage denominator.  parity_tree_7 takes critical-path
+// tracing, c17 the batch kernel.
+TEST(WorkReduction, CampaignJsonMatchesOracleCampaign) {
   for (const double fraction : {1.0, 0.6}) {
     engine::CampaignSpec spec;
     spec.jobs.push_back({"c17", logic::c17()});
@@ -216,17 +224,10 @@ TEST(WorkReduction, CampaignJsonIdenticalWithWorkReductionToggled) {
     spec.fault_sample_fraction = fraction;
     spec.executor.backend = engine::ExecutorBackend::kThreadPool;
 
-    spec.sim.drop_detected = true;
-    spec.sim.critical_path_tracing = true;
-    const engine::CampaignReport on = engine::run_campaign(spec);
-    ASSERT_TRUE(on.ok()) << on.error;
-
-    spec.sim.drop_detected = false;
-    spec.sim.critical_path_tracing = false;
-    const engine::CampaignReport off = engine::run_campaign(spec);
-    ASSERT_TRUE(off.ok()) << off.error;
-
-    EXPECT_EQ(on.to_json(), off.to_json()) << "fraction=" << fraction;
+    const engine::CampaignReport got = engine::run_campaign(spec);
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_EQ(got.to_json(), oracle_campaign(spec).to_json())
+        << "fraction=" << fraction;
   }
 }
 

@@ -1,12 +1,11 @@
 // Randomized property suite for the vectorized compiled core: the
 // multi-fault batch kernel (every batch size 1..kBatchLanes, ragged
-// pattern tails) and every SIMD backend must be bit-identical to the
-// single-fault PR-5 kernels — which the golden-equivalence suite in
-// compiled_circuit_test.cpp pins to the seed's interpreted evaluators, so
-// transitively everything here is pinned to the seed too.  Covers all
-// five fault classes (line stuck-at stems and branches, transistor
-// stuck-open/stuck-on, polarity via IDDQ dictionaries, bridges through
-// the shard path) plus X-bearing pattern sets.
+// pattern tails), the run_range and shard paths over it, and every SIMD
+// backend must be bit-identical to the seed's interpreted evaluators
+// (the oracles in tests/faults/serial_oracle.hpp and logic_sim's
+// simulate_packed).  Covers line stuck-at stems and branches, transistor
+// stuck-open/stuck-on, polarity via IDDQ dictionaries, bridges riding the
+// shard path, plus X-bearing pattern sets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +22,6 @@
 #include "logic/logic_sim.hpp"
 #include "logic/simd.hpp"
 #include "../faults/serial_oracle.hpp"
-#include "util/rng.hpp"
 
 namespace cpsinw::logic {
 namespace {
@@ -31,22 +29,12 @@ namespace {
 using faults::DetectionRecord;
 using faults::EvalContext;
 using faults::Fault;
-using faults::FaultSimOptions;
 using faults::FaultSimulator;
 using faults::FaultSite;
 using faults::LineBatchStats;
 
-std::vector<Pattern> random_patterns(const Circuit& ckt, int count,
-                                     std::uint64_t seed) {
-  util::SplitMix64 rng(seed);
-  std::vector<Pattern> out;
-  for (int k = 0; k < count; ++k) {
-    Pattern p(ckt.primary_inputs().size());
-    for (LogicV& v : p) v = from_bool(rng.chance(0.5));
-    out.push_back(std::move(p));
-  }
-  return out;
-}
+using faults::test::random_patterns;
+using faults::test::reference_record;
 
 struct Named {
   std::string name;
@@ -82,23 +70,30 @@ std::vector<Fault> all_line_faults(const Circuit& ckt) {
   return out;
 }
 
-/// Reference per-word detection words via the single-fault PR-5 kernel:
-/// one init_packed + eval_packed_line per (fault, word).
+/// The context's patterns of word `w` (a slice of at most 64).
+std::vector<Pattern> word_slice(const EvalContext& ctx, std::size_t w) {
+  const std::size_t base = w * 64;
+  const std::size_t count =
+      std::min<std::size_t>(64, ctx.pattern_count() - base);
+  return {ctx.patterns().begin() + static_cast<long>(base),
+          ctx.patterns().begin() + static_cast<long>(base + count)};
+}
+
+/// Reference per-word detection words, interpreted: the good and faulty
+/// machines of each 64-pattern slice walked over GateInst records.
 std::vector<std::uint64_t> reference_det_words(const Circuit& ckt,
                                                const EvalContext& ctx,
                                                const Fault& f) {
-  const CompiledCircuit& cc = ctx.compiled();
-  const auto lf = faults::checked_line_fault(ckt, f);
   std::vector<std::uint64_t> det(ctx.word_count(), 0);
-  std::vector<std::uint64_t> values;
   for (std::size_t w = 0; w < ctx.word_count(); ++w) {
-    const EvalContext::Batch& batch = ctx.batches()[w];
-    cc.init_packed(batch.pi_words, values);
-    cc.eval_packed_line(values, lf);
+    const auto pi_words = pack_patterns(ckt, word_slice(ctx, w));
+    const auto good = simulate_packed(ckt, pi_words);
+    const auto bad = faults::test::interp::packed_line(ckt, pi_words, f);
     std::uint64_t diff = 0;
     for (const NetId po : ckt.primary_outputs())
-      diff |= ctx.good_plane(po)[w] ^ values[static_cast<std::size_t>(po)];
-    det[w] = diff & batch.active;
+      diff |= good[static_cast<std::size_t>(po)] ^
+              bad[static_cast<std::size_t>(po)];
+    det[w] = diff & ctx.active_words()[w];
   }
   return det;
 }
@@ -119,7 +114,7 @@ struct ForcePortable {
 
 // ---------------------------------------------------------------------------
 
-TEST(CompiledBatch, PlaneGoodMachineMatchesWordKernel) {
+TEST(CompiledBatch, PlaneGoodMachineMatchesInterpretedWords) {
   // Pattern counts straddle every word boundary and the SIMD group width.
   const int counts[] = {1, 63, 64, 65, 100, 128, 200, 256};
   std::size_t ci = 0;
@@ -130,11 +125,9 @@ TEST(CompiledBatch, PlaneGoodMachineMatchesWordKernel) {
     ASSERT_TRUE(ctx.packed());
     ASSERT_EQ(ctx.word_count(), (patterns.size() + 63) / 64);
     ASSERT_EQ(ctx.plane_stride() % CompiledCircuit::kSimdWords, 0u);
-    const CompiledCircuit& cc = ctx.compiled();
-    std::vector<std::uint64_t> values;
-    for (std::size_t b = 0; b < ctx.batches().size(); ++b) {
-      cc.init_packed(ctx.batches()[b].pi_words, values);
-      cc.eval_packed(values);
+    for (std::size_t b = 0; b < ctx.word_count(); ++b) {
+      const auto values =
+          simulate_packed(w.ckt, pack_patterns(w.ckt, word_slice(ctx, b)));
       for (NetId n = 0; n < w.ckt.net_count(); ++n)
         ASSERT_EQ(ctx.good_plane(n)[b],
                   values[static_cast<std::size_t>(n)])
@@ -143,7 +136,7 @@ TEST(CompiledBatch, PlaneGoodMachineMatchesWordKernel) {
   }
 }
 
-TEST(CompiledBatch, BatchKernelMatchesSingleFaultKernelAllBatchSizes) {
+TEST(CompiledBatch, BatchKernelMatchesInterpretedWordsAllBatchSizes) {
   const int counts[] = {1, 63, 65, 100, 128, 200};
   std::size_t ci = 0;
   for (const Named& w : roster()) {
@@ -193,7 +186,7 @@ TEST(CompiledBatch, BatchKernelMatchesSingleFaultKernelAllBatchSizes) {
   }
 }
 
-TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
+TEST(CompiledBatch, RunRangeMatchesOraclesAndAccountsOccupancy) {
   for (const Named& w : roster()) {
     const auto patterns = random_patterns(w.ckt, 90, 31);
     const EvalContext ctx(w.ckt, patterns);
@@ -202,18 +195,14 @@ TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
     flo.collapse = false;
     const std::vector<Fault> universe = faults::generate_fault_list(w.ckt, flo);
 
-    FaultSimOptions batched;
-    batched.batch_line_faults = true;
-    FaultSimOptions single;
-    single.batch_line_faults = false;
-
     LineBatchStats stats;
     const auto got =
-        fsim.run_range(ctx, universe, 0, universe.size(), batched, &stats);
-    const auto ref = fsim.run_range(ctx, universe, 0, universe.size(), single);
-    ASSERT_EQ(got.size(), ref.size());
+        fsim.run_range(ctx, universe, 0, universe.size(), {}, &stats);
+    ASSERT_EQ(got.size(), universe.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-      expect_record_eq(got[i], ref[i], w.name + " fault " + std::to_string(i));
+      expect_record_eq(got[i],
+                       reference_record(w.ckt, universe[i], patterns, {}),
+                       w.name + " fault " + std::to_string(i));
 
     // Occupancy accounting is consistent with the universe.
     std::size_t line_faults = 0;
@@ -230,8 +219,10 @@ TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
     EXPECT_EQ(fill_sum, stats.lane_slots) << w.name;
     // Every fault is either routed through the kernel (dropping strips may
     // route one through several invocations) or resolved by critical-path
-    // tracing with no kernel pass at all.
+    // tracing with no kernel pass at all — tracing exactly where the
+    // context's circuit shape admits it.
     EXPECT_GE(stats.lane_slots + stats.cpt_faults, stats.faults) << w.name;
+    EXPECT_EQ(stats.cpt_faults > 0, ctx.cpt_available()) << w.name;
     if (stats.groups > 0) {
       EXPECT_GT(stats.words, 0u) << w.name;
     }
@@ -240,12 +231,12 @@ TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
     }
 
     // Concatenating sub-range records equals the whole-list run (the
-    // campaign sharding contract), with batching on.
+    // campaign sharding contract).
     const std::size_t cut = universe.size() / 3 + 1;
     std::vector<DetectionRecord> cat;
     for (std::size_t b = 0; b < universe.size(); b += cut) {
       const std::size_t e = std::min(universe.size(), b + cut);
-      const auto part = fsim.run_range(ctx, universe, b, e, batched);
+      const auto part = fsim.run_range(ctx, universe, b, e);
       cat.insert(cat.end(), part.begin(), part.end());
     }
     ASSERT_EQ(cat.size(), got.size());
@@ -254,7 +245,7 @@ TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
   }
 }
 
-TEST(CompiledBatch, ShardResultsIdenticalWithBatchingToggledAllClasses) {
+TEST(CompiledBatch, ShardResultsMatchOraclesWithBridgesInTheUniverse) {
   for (const Named& w : roster()) {
     const auto patterns = random_patterns(w.ckt, 80, 53);
 
@@ -269,25 +260,19 @@ TEST(CompiledBatch, ShardResultsIdenticalWithBatchingToggledAllClasses) {
     engine::Shard shard;
     shard.begin = 0;
     shard.end = universe.size();
-    engine::ShardExecOptions batched;
-    batched.sim.batch_line_faults = true;
-    engine::ShardExecOptions single;
-    single.sim.batch_line_faults = false;
-
-    const auto got = engine::run_shard(w.ckt, universe, patterns, shard,
-                                       batched);
-    // Reference: the single-fault line walk, and for transistor faults
-    // the serial oracle.
-    auto ref = engine::run_shard(w.ckt, universe, patterns, shard, single);
+    const engine::ShardExecOptions options;
+    const auto got =
+        engine::run_shard(w.ckt, universe, patterns, shard, options);
+    ASSERT_EQ(got.results.size(), universe.size());
+    // Bridges ride along so the shard loop interleaves every path; their
+    // records are pinned by compiled_circuit_test's interpreted bridge
+    // reference.
     for (std::size_t i = 0; i < universe.size(); ++i)
-      if (universe[i].cls != engine::FaultClass::kBridge &&
-          universe[i].fault.site == FaultSite::kGateTransistor)
-        ref.results[i].record = faults::test::reference_transistor(
-            w.ckt, universe[i].fault, patterns, single.sim);
-    ASSERT_EQ(got.results.size(), ref.results.size());
-    for (std::size_t i = 0; i < got.results.size(); ++i)
-      expect_record_eq(got.results[i].record, ref.results[i].record,
-                       w.name + " fault " + std::to_string(i));
+      if (universe[i].cls != engine::FaultClass::kBridge)
+        expect_record_eq(got.results[i].record,
+                         reference_record(w.ckt, universe[i].fault, patterns,
+                                          options.sim),
+                         w.name + " fault " + std::to_string(i));
   }
 }
 
@@ -377,21 +362,16 @@ TEST(CompiledBatch, XBearingPatternsKeepScalarPathsAndRejectLineFaults) {
   for (const Fault& f : faults::generate_fault_list(ckt, {}))
     if (f.site == FaultSite::kGateTransistor) trans.push_back(f);
   ASSERT_FALSE(trans.empty());
-  FaultSimOptions batched;
-  batched.batch_line_faults = true;
-  FaultSimOptions single;
-  single.batch_line_faults = false;
-  const auto got = fsim.run_range(ctx, trans, 0, trans.size(), batched);
-  const auto ref = fsim.run_range(ctx, trans, 0, trans.size(), single);
+  const auto got = fsim.run_range(ctx, trans, 0, trans.size());
   for (std::size_t i = 0; i < trans.size(); ++i)
-    expect_record_eq(got[i], ref[i], "trans " + std::to_string(i));
+    expect_record_eq(got[i],
+                     faults::test::reference_transistor(ckt, trans[i],
+                                                        patterns, {}),
+                     "trans " + std::to_string(i));
 
-  // Line faults still demand packable patterns, batched or not.
+  // Line faults still demand packable patterns.
   const std::vector<Fault> line = {Fault::net_stuck(0, true)};
-  EXPECT_THROW((void)fsim.run_range(ctx, line, 0, 1, batched),
-               std::invalid_argument);
-  EXPECT_THROW((void)fsim.run_range(ctx, line, 0, 1, single),
-               std::invalid_argument);
+  EXPECT_THROW((void)fsim.run_range(ctx, line, 0, 1), std::invalid_argument);
 }
 
 TEST(CompiledBatch, EmptyPatternSetYieldsUndetectedRecords) {

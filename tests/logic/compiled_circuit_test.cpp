@@ -1,9 +1,9 @@
 // Golden-equivalence suite for the compiled circuit core: every kernel of
-// logic::CompiledCircuit — scalar good/faulty, packed good, packed line
-// fault, packed transistor substitution — must be bit-identical to the
+// logic::CompiledCircuit — scalar good/faulty, plane good machine, batched
+// line fault, plane transistor substitution — must be bit-identical to the
 // seed's interpreted evaluators, re-implemented here verbatim as the
 // frozen reference (the library itself no longer carries the interpreted
-// walk, so the reference lives in this test).
+// walk, so the references live in tests/faults/serial_oracle.hpp).
 #include "logic/compiled_circuit.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/logic_sim.hpp"
+#include "../faults/serial_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cpsinw::logic {
@@ -32,182 +33,12 @@ using faults::FaultSimOptions;
 using faults::FaultSite;
 
 // ---------------------------------------------------------------------------
-// Interpreted reference: the seed algorithms, frozen.  These walk GateInst
-// records through Circuit::topo_order() and re-consult dictionaries per
-// gate, exactly like the pre-compiled-core library did.
+// Interpreted reference: the seed algorithms, frozen (serial_oracle.hpp),
+// plus the bridge evaluation.
 namespace interp {
 
-LogicV eval_gate(const Circuit& ckt, const GateInst& g,
-                 const std::vector<LogicV>& values) {
-  const auto bits = Simulator::local_input(g, values);
-  if (!bits) {
-    const auto in_at = [&](int i) {
-      return g.in[static_cast<std::size_t>(i)] >= 0
-                 ? values[static_cast<std::size_t>(
-                       g.in[static_cast<std::size_t>(i)])]
-                 : LogicV::kX;
-    };
-    return eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
-  }
-  (void)ckt;
-  return from_bool(gates::good_output(g.kind, *bits) != 0);
-}
-
-std::vector<LogicV> seed_values(const Circuit& ckt, const Pattern& pattern) {
-  std::vector<LogicV> values(static_cast<std::size_t>(ckt.net_count()),
-                             LogicV::kX);
-  for (NetId n = 0; n < ckt.net_count(); ++n) {
-    const LogicV c = ckt.constant_of(n);
-    if (is_binary(c)) values[static_cast<std::size_t>(n)] = c;
-  }
-  for (std::size_t i = 0; i < pattern.size(); ++i)
-    values[static_cast<std::size_t>(ckt.primary_inputs()[i])] = pattern[i];
-  return values;
-}
-
-SimResult simulate(const Circuit& ckt, const Pattern& pattern) {
-  SimResult r;
-  r.net_values = seed_values(ckt, pattern);
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    r.net_values[static_cast<std::size_t>(g.out)] =
-        eval_gate(ckt, g, r.net_values);
-  }
-  return r;
-}
-
-SimResult simulate_faulty(const Circuit& ckt, const Pattern& pattern,
-                          int fault_gate, const gates::FaultAnalysis& fa,
-                          const std::vector<LogicV>* previous_state) {
-  SimResult r;
-  r.net_values = seed_values(ckt, pattern);
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    if (gid != fault_gate) {
-      r.net_values[static_cast<std::size_t>(g.out)] =
-          eval_gate(ckt, g, r.net_values);
-      continue;
-    }
-    const auto bits = Simulator::local_input(g, r.net_values);
-    if (!bits) {
-      r.net_values[static_cast<std::size_t>(g.out)] = LogicV::kX;
-      continue;
-    }
-    const gates::FaultRow& row = fa.rows[*bits];
-    if (row.faulty.contention) r.iddq_flag = true;
-    const int fv = row.faulty.floating
-                       ? -2
-                       : gates::logic_value(row.faulty.out);
-    LogicV out = LogicV::kX;
-    if (fv == 0) {
-      out = LogicV::k0;
-    } else if (fv == 1) {
-      out = LogicV::k1;
-    } else if (fv == -2) {
-      out = previous_state != nullptr
-                ? (*previous_state)[static_cast<std::size_t>(g.out)]
-                : LogicV::kX;
-      if (out == LogicV::kZ) out = LogicV::kX;
-    }
-    r.net_values[static_cast<std::size_t>(g.out)] = out;
-  }
-  return r;
-}
-
-std::vector<std::uint64_t> packed_line(const Circuit& ckt,
-                                       const std::vector<std::uint64_t>& pi,
-                                       const Fault& fault) {
-  std::vector<std::uint64_t> values(
-      static_cast<std::size_t>(ckt.net_count()), 0);
-  for (NetId n = 0; n < ckt.net_count(); ++n)
-    if (ckt.constant_of(n) == LogicV::k1)
-      values[static_cast<std::size_t>(n)] = ~0ull;
-  for (std::size_t i = 0; i < pi.size(); ++i)
-    values[static_cast<std::size_t>(ckt.primary_inputs()[i])] = pi[i];
-
-  const std::uint64_t forced = fault.stuck_at_one ? ~0ull : 0ull;
-  if (fault.site == FaultSite::kNet)
-    values[static_cast<std::size_t>(fault.net)] = forced;
-
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    std::uint64_t in[3] = {0, 0, 0};
-    for (int i = 0; i < g.input_count(); ++i) {
-      in[i] =
-          values[static_cast<std::size_t>(g.in[static_cast<std::size_t>(i)])];
-      if (fault.site == FaultSite::kGateInput && fault.gate == gid &&
-          fault.pin == i)
-        in[i] = forced;
-    }
-    std::uint64_t out = eval_cell_packed(g.kind, in[0], in[1], in[2]);
-    if (fault.site == FaultSite::kNet && g.out == fault.net) out = forced;
-    values[static_cast<std::size_t>(g.out)] = out;
-  }
-  return values;
-}
-
-DetectionRecord transistor_serial(const Circuit& ckt, const Fault& fault,
-                                  const std::vector<Pattern>& patterns,
-                                  const FaultSimOptions& options) {
-  const gates::FaultAnalysis fa =
-      gates::analyze_fault(ckt.gate(fault.gate).kind, fault.cell_fault);
-  DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const SimResult good = simulate(ckt, patterns[pi]);
-    const SimResult bad = simulate_faulty(
-        ckt, patterns[pi], fault.gate, fa,
-        options.sequential_patterns && !state.empty() ? &state : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const NetId po : ckt.primary_outputs()) {
-      const LogicV g = good.net_values[static_cast<std::size_t>(po)];
-      const LogicV b = bad.net_values[static_cast<std::size_t>(po)];
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0) rec.first_pattern = static_cast<int>(pi);
-  }
-  return rec;
-}
-
-/// The pre-refactor run_range over line faults: packed batches, fault
-/// dropping, first detecting bit.
-DetectionRecord line_fault(const Circuit& ckt, const Fault& fault,
-                           const std::vector<Pattern>& patterns) {
-  DetectionRecord rec;
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    if (rec.detected_output) break;
-    const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
-    const std::vector<Pattern> slice(
-        patterns.begin() + static_cast<long>(base),
-        patterns.begin() + static_cast<long>(base + count));
-    const auto pi_words = pack_patterns(ckt, slice);
-    const auto good = simulate_packed(ckt, pi_words);
-    const auto bad = packed_line(ckt, pi_words, fault);
-    const std::uint64_t active =
-        count == 64 ? ~0ull : ((1ull << count) - 1ull);
-    std::uint64_t diff = 0;
-    for (const NetId po : ckt.primary_outputs())
-      diff |= (good[static_cast<std::size_t>(po)] ^
-               bad[static_cast<std::size_t>(po)]);
-    diff &= active;
-    if (diff != 0) {
-      rec.detected_output = true;
-      rec.first_pattern = static_cast<int>(base) + __builtin_ctzll(diff);
-    }
-  }
-  return rec;
-}
+using faults::test::interp::simulate;
+using faults::test::interp::simulate_faulty;
 
 /// Reference bridge evaluation, mirroring the engine's hit semantics.
 DetectionRecord bridge_fault(const Circuit& ckt,
@@ -250,17 +81,7 @@ DetectionRecord bridge_fault(const Circuit& ckt,
 
 // ---------------------------------------------------------------------------
 
-std::vector<Pattern> random_patterns(const Circuit& ckt, int count,
-                                     std::uint64_t seed) {
-  util::SplitMix64 rng(seed);
-  std::vector<Pattern> out;
-  for (int k = 0; k < count; ++k) {
-    Pattern p(ckt.primary_inputs().size());
-    for (LogicV& v : p) v = from_bool(rng.chance(0.5));
-    out.push_back(std::move(p));
-  }
-  return out;
-}
+using faults::test::random_patterns;
 
 struct Named {
   std::string name;
@@ -384,17 +205,14 @@ TEST(CompiledCircuit, PackedGoodMatchesInterpretedSimulatePacked) {
     // The free simulate_packed() is the interpreted reference the library
     // keeps on purpose.
     const auto want = simulate_packed(w.ckt, pi_words);
-    const CompiledCircuit cc(w.ckt);
-    std::vector<std::uint64_t> got;
-    cc.init_packed(pi_words, got);
-    cc.eval_packed(got);
-    EXPECT_EQ(got, want) << w.name;
     // Context good planes are built by the compiled plane kernel; word 0
     // of every net's row must match the interpreted single-word words.
     const faults::EvalContext ctx(w.ckt, patterns);
     ASSERT_TRUE(ctx.packed());
-    ASSERT_EQ(ctx.batches().size(), 1u);
     ASSERT_EQ(ctx.word_count(), 1u);
+    for (std::size_t i = 0; i < w.ckt.primary_inputs().size(); ++i)
+      EXPECT_EQ(ctx.pi_planes()[i * ctx.plane_stride()], pi_words[i])
+          << w.name << " pi " << i;
     for (logic::NetId n = 0; n < w.ckt.net_count(); ++n)
       EXPECT_EQ(ctx.good_plane(n)[0], want[static_cast<std::size_t>(n)])
           << w.name << " net " << n;
@@ -431,14 +249,11 @@ TEST(CompiledCircuit, AllFiveFaultClassesMatchInterpretedReferences) {
 
     for (std::size_t i = 0; i < universe.size(); ++i) {
       const engine::CampaignFault& cf = universe[i];
-      DetectionRecord want;
-      if (cf.cls == engine::FaultClass::kBridge)
-        want = interp::bridge_fault(w.ckt, cf.bridge, patterns, options.sim);
-      else if (cf.fault.site == FaultSite::kGateTransistor)
-        want = interp::transistor_serial(w.ckt, cf.fault, patterns,
-                                         options.sim);
-      else
-        want = interp::line_fault(w.ckt, cf.fault, patterns);
+      const DetectionRecord want =
+          cf.cls == engine::FaultClass::kBridge
+              ? interp::bridge_fault(w.ckt, cf.bridge, patterns, options.sim)
+              : faults::test::reference_record(w.ckt, cf.fault, patterns,
+                                               options.sim);
       expect_record_eq(got.results[i].record, want,
                        w.name + " fault " + std::to_string(i));
     }
@@ -460,7 +275,8 @@ TEST(CompiledCircuit, XBearingPatternsMatchInterpretedScalarPath) {
   const faults::FaultSimReport got = fsim.run(ctx, trans, {});
   for (std::size_t i = 0; i < trans.size(); ++i)
     expect_record_eq(got.records[i],
-                     interp::transistor_serial(ckt, trans[i], patterns, {}),
+                     faults::test::reference_transistor(ckt, trans[i],
+                                                        patterns, {}),
                      "fault " + std::to_string(i));
 }
 
@@ -479,7 +295,7 @@ TEST(CompiledCircuit, TwoPatternStuckOpenRetentionMatchesReference) {
       for (std::size_t k = 0; k + 1 < seqs.size(); k += 2) {
         const std::vector<Pattern> pair = {seqs[k], seqs[k + 1]};
         const DetectionRecord want =
-            interp::transistor_serial(ckt, f, pair, {});
+            faults::test::reference_transistor(ckt, f, pair, {});
         const faults::EvalContext ctx(ckt, pair);
         const faults::FaultSimReport got = fsim.run(ctx, {f}, {});
         expect_record_eq(got.records[0], want,
@@ -513,6 +329,18 @@ TEST(CompiledCircuit, MalformedLineFaultsAreRejectedNotUndefined) {
                    ckt, atpg::TransitionFault{ckt.net_count(), true},
                    patterns[0], patterns[1]),
                std::invalid_argument);
+  // An empty pattern set simulates nothing but still validates.
+  const faults::EvalContext empty(ckt, std::vector<Pattern>{});
+  EXPECT_THROW((void)fsim.run_range(empty,
+                                    {Fault::net_stuck(ckt.net_count() + 5,
+                                                      true)},
+                                    0, 1, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)fsim.run(empty, {Fault::input_stuck(0, 5, false)}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)fsim.line_fault_detected(
+                   Fault::net_stuck(ckt.net_count(), false), patterns[0]),
+               std::invalid_argument);
 }
 
 TEST(CompiledCircuit, RandomizedCircuitPropertyTest) {
@@ -540,9 +368,7 @@ TEST(CompiledCircuit, RandomizedCircuitPropertyTest) {
     for (std::size_t i = 0; i < universe.size(); ++i) {
       const Fault& f = universe[i];
       const DetectionRecord want =
-          f.site == FaultSite::kGateTransistor
-              ? interp::transistor_serial(ckt, f, patterns, {})
-              : interp::line_fault(ckt, f, patterns);
+          faults::test::reference_record(ckt, f, patterns, {});
       expect_record_eq(got.records[i], want,
                        label + " fault " + std::to_string(i));
     }
