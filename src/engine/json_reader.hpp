@@ -2,7 +2,7 @@
 // engine that consumes untrusted JSON: the shard_io wire documents, the
 // server stats responses, and the telemetry trace files the tests
 // validate.  Every malformed input becomes a std::runtime_error with a
-// byte offset, never UB — peers and workers are untrusted by design.
+// byte offset, never UB — remote peers are untrusted by design.
 //
 // This is deliberately not a general JSON library: no surrogate pairs,
 // numbers decode to double (64-bit integers travel as decimal strings in

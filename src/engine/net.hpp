@@ -2,8 +2,8 @@
 // parsing, deadline-bounded connect, and the length-prefixed frame that
 // carries one shard_io v1 JSON document per direction.
 //
-// Framing: the subprocess backend delimits its documents with pipe EOF; a
-// TCP connection that serves several shards needs explicit boundaries.  A
+// Framing: a TCP connection that serves several shards needs explicit
+// document boundaries.  A
 // frame is one ASCII header line `cpsinw-shard-io/1 <decimal-len>\n`
 // followed by exactly <len> payload bytes.  The header carries the
 // protocol version (checked on receive, in addition to the version field

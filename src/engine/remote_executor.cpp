@@ -146,13 +146,12 @@ class RemoteExecutor final : public PooledExecutorBase {
     ep_metrics_.assign(endpoints_.size(), EndpointMetrics{});
     queue_wait_s_ = nullptr;
     shard_exec_s_ = nullptr;
-    retries_ = failovers_ = quarantines_ = nullptr;
+    retries_ = quarantines_ = nullptr;
     if (telemetry_ != nullptr) {
       telemetry::Registry& reg = telemetry_->registry;
       queue_wait_s_ = &reg.histogram("remote.queue_wait_s");
       shard_exec_s_ = &reg.histogram("remote.shard_exec_s");
       retries_ = &reg.counter("remote.retries");
-      failovers_ = &reg.counter("remote.failovers");
       quarantines_ = &reg.counter("remote.quarantines");
       for (std::size_t i = 0; i < endpoints_.size(); ++i) {
         const std::string label = endpoint_label(endpoints_[i]);
@@ -208,10 +207,8 @@ class RemoteExecutor final : public PooledExecutorBase {
          ep = roster.acquire(tried)) {
       tried[static_cast<std::size_t>(ep)] = 1;
       ++attempts;
-      if (attempts > 1) {
-        if (retries_ != nullptr) CPSINW_TELEM(retries_->add());
-        if (failovers_ != nullptr) CPSINW_TELEM(failovers_->add());
-      }
+      if (attempts > 1 && retries_ != nullptr)
+        CPSINW_TELEM(retries_->add());
       const std::string error = exchange(ep, roster.endpoint(ep), input, task);
       const bool ok = error.empty();
       EndpointMetrics& m = ep_metrics_[static_cast<std::size_t>(ep)];
@@ -318,7 +315,6 @@ class RemoteExecutor final : public PooledExecutorBase {
   telemetry::Histogram* queue_wait_s_ = nullptr;
   telemetry::Histogram* shard_exec_s_ = nullptr;
   telemetry::Counter* retries_ = nullptr;
-  telemetry::Counter* failovers_ = nullptr;
   telemetry::Counter* quarantines_ = nullptr;
 };
 

@@ -1,14 +1,15 @@
 // The distributed (kRemote) shard-executor backend: dispatches a
 // campaign's universe slices across a configured list of
 // cpsinw_shard_server endpoints over TCP, speaking the same shard_io v1
-// JSON documents the subprocess backend pipes to a forked worker — one
-// net-framed request/response per shard.
+// JSON documents, one net-framed request/response per shard.  Running
+// the servers on the campaign's own host (net::LocalServerProcess) is how
+// a campaign gets process isolation without a second host.
 //
 // Scheduling policy (none of it can affect the answer — slots are filled
 // in canonical order upstream):
 //   * bounded in-flight shards per endpoint (`remote_max_in_flight`),
 //     least-loaded endpoint first;
-//   * per-shard wall-clock timeout (`worker_timeout_s`) covering connect,
+//   * per-attempt wall-clock timeout (`worker_timeout_s`) covering connect,
 //     send, and receive of one attempt;
 //   * retry-on-another-endpoint failover: a shard that fails on one
 //     endpoint is retried on each remaining endpoint before its slot is

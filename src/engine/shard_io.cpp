@@ -14,7 +14,7 @@ namespace {
 using Json = JsonWriter;  // shared canonical-form writer (json_writer.hpp)
 // Parsing rides on the shared engine/json_reader.hpp reader: every
 // malformed input becomes a std::runtime_error with a byte offset, never
-// UB — worker output is untrusted by design.
+// UB — server output is untrusted by design.
 
 // ------------------------------------------------------------ enum names
 // Protocol-owned tables (not the display to_string helpers) so a renamed
@@ -303,7 +303,7 @@ std::string serialize_shard_input(const logic::Circuit& ckt,
   // Retired option, still written: older servers read it with at().
   j.key("batch_transistor_faults");
   j.value(true);
-  // Serialized because it changes the records a worker computes.  Fault
+  // Serialized because it changes the records a server computes.  Fault
   // dropping and critical-path tracing are not options at all: they never
   // change results, so there is nothing to put on the wire.
   j.key("detection_mode");

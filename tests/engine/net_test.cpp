@@ -1,12 +1,13 @@
 // Unit coverage for the kRemote transport layer: endpoint parsing, the
 // length-prefixed frame (round trip, clean EOF, malformed and oversized
-// headers, truncation, deadlines) and the loopback listener plumbing the
-// server and the tests build on.
+// headers, truncation, deadlines), the loopback listener plumbing the
+// server and the tests build on, and spawning a local server.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -193,6 +194,21 @@ TEST(NetListener, ConnectionToAClosedPortIsRefused) {
       connect_endpoint({"127.0.0.1", port}, deadline_after(5.0), &error);
   EXPECT_LT(fd, 0);
   EXPECT_NE(error.find("connect to 127.0.0.1:"), std::string::npos) << error;
+}
+
+TEST(NetLocalServer, SpawnFailureIsADiagnosticNotAHang) {
+  // exec fails in the child, which exits at once: the banner pipe closes
+  // long before the constructor's 10 s banner deadline.
+  const auto start = std::chrono::steady_clock::now();
+  LocalServerProcess server("/nonexistent/cpsinw_shard_server");
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_FALSE(server.ok());
+  EXPECT_NE(server.error().find("exited before advertising"),
+            std::string::npos)
+      << server.error();
+  EXPECT_LT(elapsed_s, 5.0);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Failure injection for the remote backend: endpoints that refuse
 // connections, disconnect mid-shard, answer with garbage or an oversized
-// frame, or hang past the per-shard timeout must each surface on
-// CampaignReport::error (first failure in canonical shard order) while
-// every healthy shard still merges — and when a second endpoint is
-// available, failover must keep the campaign clean and byte-identical.
+// frame, hang past the per-shard timeout, or crash outright must each
+// surface on CampaignReport::error (first failure in canonical shard
+// order) while every healthy shard still merges — and when a second
+// endpoint is available, failover must keep the campaign clean and
+// byte-identical.  A crash takes the whole server down, so isolation is
+// per server: the failover tests pin that one dead server costs nothing
+// but its own endpoint.
 // The server's --fail-mode / --fail-index flags misbehave on purpose
 // after parsing the request.
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include <string>
 
 #include "engine/campaign.hpp"
+#include "engine/remote_executor.hpp"
 #include "logic/benchmarks.hpp"
 #include "remote_test_util.hpp"
 
@@ -115,6 +119,59 @@ TEST(RemoteFailure, OversizedResponseIsRejectedBeforeItIsRead) {
 TEST(RemoteFailure, SlowEndpointHitsThePerShardTimeout) {
   const std::string error = run_with_failure("hang", 1.0);
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+}
+
+TEST(RemoteFailure, ServerCrashMidShardSurfaces) {
+  const CampaignReport healthy = healthy_reference();
+
+  // The server dies (exit code 3) as soon as it has parsed shard 0; the
+  // client sees its connection close with no reply, and every later
+  // shard finds the endpoint gone.
+  net::LocalServerProcess server(test_util::server_path(),
+                                 {"--fail-mode", "exit", "--fail-index", "0"});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  CampaignSpec spec = base_spec();
+  spec.executor.endpoints = {server.endpoint()};
+  const CampaignReport report = run_campaign(spec);
+
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.error.find("job 0, shard 0"), std::string::npos)
+      << report.error;
+  EXPECT_NE(report.error.find("connection closed"), std::string::npos)
+      << report.error;
+  // Which other shards reached the server before it died is up to the
+  // scheduler, so only the lower-bound merge is pinned, not a floor on
+  // the surviving detections.
+  EXPECT_EQ(report.totals().total, healthy.totals().total);
+  EXPECT_EQ(report.totals().sampled, healthy.totals().sampled);
+  EXPECT_LT(report.totals().detected, healthy.totals().detected);
+}
+
+TEST(RemoteFailure, FailoverSurvivesAServerCrash) {
+  const CampaignReport healthy = healthy_reference();
+
+  // Endpoint A dies on the first shard it receives.  It does receive one:
+  // both endpoints start idle and the roster breaks the tie by index.
+  net::LocalServerProcess crashing(test_util::server_path(),
+                                   {"--fail-mode", "exit"});
+  net::LocalServerProcess good(test_util::server_path());
+  ASSERT_TRUE(crashing.ok()) << crashing.error();
+  ASSERT_TRUE(good.ok()) << good.error();
+
+  CampaignSpec spec = base_spec();
+  spec.executor.endpoints = {crashing.endpoint(), good.endpoint()};
+  const CampaignReport report = run_campaign(spec);
+
+  EXPECT_TRUE(report.ok()) << report.error;
+  EXPECT_EQ(report.to_json(), healthy.to_json());
+
+  // The crash took down its own server and nothing else.
+  ServerStats stats;
+  std::string error;
+  EXPECT_FALSE(query_server_stats(crashing.endpoint(), 5.0, &stats, &error));
+  EXPECT_TRUE(query_server_stats(good.endpoint(), 5.0, &stats, &error))
+      << error;
 }
 
 TEST(RemoteFailure, FailoverToTheSecondEndpointKeepsTheCampaignClean) {

@@ -336,6 +336,37 @@ TEST(StatsIo, LiveServerScrapeAfterRemoteCampaign) {
   EXPECT_GE(shards_served, campaign_shards);
 }
 
+TEST(TelemetryReport, RemoteRetriesCountEveryFailoverAttempt) {
+  // Endpoint A drops every connection mid-shard; B is healthy.  One pool
+  // thread serializes the shards and the roster breaks ties by index, so
+  // each shard tries A first until A is quarantined: exactly
+  // `remote_quarantine_failures` shards fail over to B.
+  net::LocalServerProcess bad(test_util::server_path(),
+                              {"--fail-mode", "disconnect"});
+  net::LocalServerProcess good(test_util::server_path());
+  ASSERT_TRUE(bad.ok()) << bad.error();
+  ASSERT_TRUE(good.ok()) << good.error();
+
+  CampaignSpec spec = small_campaign_spec();
+  spec.executor.backend = ExecutorBackend::kRemote;
+  spec.executor.endpoints = {bad.endpoint(), good.endpoint()};
+  spec.executor.remote_quarantine_failures = 2;
+  spec.threads = 1;
+  spec.emit_telemetry = true;
+  const CampaignReport report = run_campaign(spec);
+  ASSERT_TRUE(report.ok()) << report.error;
+  ASSERT_GT(report.timing.shard_count, 2);
+
+  const telemetry::CounterValue* retries =
+      report.telemetry.find_counter("remote.retries");
+  ASSERT_NE(retries, nullptr);
+  EXPECT_EQ(retries->value, 2u);
+  const telemetry::CounterValue* bad_failures =
+      report.telemetry.find_counter("remote." + bad.endpoint() + ".failures");
+  ASSERT_NE(bad_failures, nullptr);
+  EXPECT_EQ(bad_failures->value, retries->value);
+}
+
 // The JSON reader bounds its nesting depth: 100,000 '[' (a 100 KB frame,
 // far inside net::kMaxFrameBytes) is a diagnostic with a byte offset, not
 // a stack overflow, while nesting up to the bound still parses.

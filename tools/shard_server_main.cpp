@@ -2,9 +2,9 @@
 // TCP.  One listening socket, one thread per accepted connection; each
 // connection carries any number of framed shard_io v1 exchanges — the
 // client sends a shard work document in a net frame, the server answers
-// with the framed ShardResult JSON.  The documents are byte-identical to
-// the subprocess worker's stdin/stdout, so a shard produces the same
-// bytes whether it runs inline, in a forked worker, or on another host.
+// with the framed ShardResult JSON.  A shard produces the same bytes
+// whether it runs inline, in a server on the campaign's host, or on
+// another host.
 //
 // Besides work documents, a connection may send the tiny shard_io v1
 // `stats` request and gets a live telemetry snapshot back (uptime,
