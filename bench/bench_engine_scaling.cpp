@@ -1,7 +1,8 @@
 // Campaign-engine scaling across execution backends: throughput (sampled
-// faults x patterns per second) of the same parity_tree(64) campaign on
-// the inline reference, the thread pool at 1/2/4/8 threads, and a
-// loopback remote shard server.  The
+// faults x patterns per second) of the same alu_array(16) campaign (a few
+// thousand faults, so shards outnumber threads) on the inline reference,
+// the thread pool at 1/2/4/8 threads, and a loopback remote shard server.
+// The
 // deterministic JSON of every run is checked against the inline reference
 // — a scaling number only counts if the answer is bit-identical.  Results
 // land in BENCH_engine_scaling.json (also the last stdout line) so the
@@ -89,7 +90,7 @@ int main() {
 
   const auto make_spec = [&server](const RunConfig& cfg) {
     engine::CampaignSpec spec;
-    spec.jobs.push_back({"parity_tree_64", logic::parity_tree(64)});
+    spec.jobs.push_back({"alu_array_16", logic::alu_array(16)});
     spec.patterns.kind = engine::PatternSourceSpec::Kind::kRandom;
     spec.patterns.random_count = 128;
     spec.shard_size = 32;
@@ -106,7 +107,7 @@ int main() {
     return spec;
   };
 
-  std::cout << "=== Campaign-engine scaling: parity_tree(64), full CP fault "
+  std::cout << "=== Campaign-engine scaling: alu_array(16), full CP fault "
                "universe, 128 random patterns, per-backend ===\n";
   std::cout << "hardware threads: " << engine::ThreadPool::hardware_threads()
             << "\n\n";
@@ -227,7 +228,7 @@ int main() {
   // Single JSON object for the bench trajectory, mirrored to a file.
   const std::string json =
       std::string("{\"bench\":\"engine_scaling\",") +
-      "\"circuit\":\"parity_tree_64\",\"faults\":" +
+      "\"circuit\":\"alu_array_16\",\"faults\":" +
       std::to_string(totals.total) +
       ",\"patterns\":" + std::to_string(ref.jobs[0].pattern_count) +
       ",\"hardware_threads\":" +

@@ -244,15 +244,19 @@ bool recv_frame(int fd, std::string* payload, Deadline deadline,
   error->clear();
   payload->clear();
 
-  // Header: read byte-by-byte to the newline so no payload (or following
-  // frame) bytes are consumed early.  Headers are ~25 bytes; the ceiling
-  // only bounds a peer streaming garbage with no newline in it.
+  // Header: peek at what has arrived and consume exactly through the
+  // newline, so no payload (or following frame) bytes are taken early.
+  // Without a newline yet, everything peeked is consumed and the loop
+  // waits for more, so a trickling peer never causes a spin.  Headers are
+  // ~25 bytes; the ceiling only bounds a peer streaming garbage with no
+  // newline in it.
   std::string header;
   constexpr std::size_t kMaxHeader = 64;
   while (true) {
     if (!wait_ready(fd, POLLIN, deadline, error)) return false;
-    char c = 0;
-    const ssize_t n = recv(fd, &c, 1, 0);
+    char buf[kMaxHeader + 1];
+    const ssize_t n =
+        recv(fd, buf, kMaxHeader + 1 - header.size(), MSG_PEEK);
     if (n == 0) {
       if (!header.empty())
         *error = "connection closed mid-header";
@@ -263,8 +267,22 @@ bool recv_frame(int fd, std::string* payload, Deadline deadline,
       *error = errno_text("recv");
       return false;
     }
-    if (c == '\n') break;
-    header += c;
+    const std::size_t peeked = static_cast<std::size_t>(n);
+    const char* newline =
+        static_cast<const char*>(std::memchr(buf, '\n', peeked));
+    const std::size_t take =
+        newline != nullptr ? static_cast<std::size_t>(newline - buf) + 1
+                           : peeked;
+    // The peeked bytes are already queued, so this cannot block or come up
+    // short; it is checked anyway rather than trusted.
+    const ssize_t consumed = recv(fd, buf, take, 0);
+    if (consumed != static_cast<ssize_t>(take)) {
+      *error = consumed < 0 ? errno_text("recv")
+                            : "frame header read came up short";
+      return false;
+    }
+    header.append(buf, newline != nullptr ? take - 1 : take);
+    if (newline != nullptr) break;
     if (header.size() > kMaxHeader) {
       *error = "frame header exceeds " + std::to_string(kMaxHeader) +
                " bytes (not a cpsinw-shard-io peer?)";

@@ -1,5 +1,7 @@
 #include "engine/remote_executor.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
@@ -110,10 +112,60 @@ class EndpointRoster {
   const int quarantine_failures_;
 };
 
-/// Closes a socket on every exit path of an exchange.
+/// Closes a socket on every exit path of an exchange (set `fd` to -1 to
+/// keep it open).
 struct FdCloser {
   int fd;
-  ~FdCloser() { close(fd); }
+  ~FdCloser() {
+    if (fd >= 0) close(fd);
+  }
+};
+
+/// The open connections of one run(), parked per endpoint between
+/// exchanges.  Each is tagged with the job context its server has
+/// installed (the last one sent in full on it).  Connections live only as
+/// long as the pool, which lives only as long as one run(): no state
+/// crosses campaigns.
+class ConnectionPool {
+ public:
+  struct Connection {
+    int fd = -1;
+    const faults::EvalContext* context = nullptr;  ///< installed server-side
+  };
+
+  explicit ConnectionPool(std::size_t endpoints) : idle_(endpoints) {}
+  ~ConnectionPool() {
+    for (const std::vector<Connection>& list : idle_)
+      for (const Connection& c : list) close(c.fd);
+  }
+  ConnectionPool(const ConnectionPool&) = delete;
+  ConnectionPool& operator=(const ConnectionPool&) = delete;
+
+  /// Takes an idle connection to endpoint `ep`, preferring one that holds
+  /// `context`; fd is -1 when none is idle.
+  [[nodiscard]] Connection take(int ep, const faults::EvalContext* context) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<Connection>& list = idle_[static_cast<std::size_t>(ep)];
+    if (list.empty()) return {};
+    auto it = std::find_if(list.begin(), list.end(),
+                           [context](const Connection& c) {
+                             return c.context == context;
+                           });
+    if (it == list.end()) --it;
+    const Connection c = *it;
+    list.erase(it);
+    return c;
+  }
+
+  /// Returns a connection whose last exchange fully succeeded.
+  void park(int ep, const Connection& c) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    idle_[static_cast<std::size_t>(ep)].push_back(c);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::vector<Connection>> idle_;
 };
 
 /// Per-endpoint metric handles, resolved once per run() (registry lookups
@@ -141,18 +193,20 @@ class RemoteExecutor final : public PooledExecutorBase {
                                 const ShardExecOptions& options) override {
     EndpointRoster roster(endpoints_, spec_.remote_max_in_flight,
                           spec_.remote_quarantine_failures);
+    ConnectionPool connections(endpoints_.size());
 
     // Metric handles are resolved here, once, never in the per-shard path.
     ep_metrics_.assign(endpoints_.size(), EndpointMetrics{});
     queue_wait_s_ = nullptr;
     shard_exec_s_ = nullptr;
-    retries_ = quarantines_ = nullptr;
+    retries_ = quarantines_ = context_sends_ = nullptr;
     if (telemetry_ != nullptr) {
       telemetry::Registry& reg = telemetry_->registry;
       queue_wait_s_ = &reg.histogram("remote.queue_wait_s");
       shard_exec_s_ = &reg.histogram("remote.shard_exec_s");
       retries_ = &reg.counter("remote.retries");
       quarantines_ = &reg.counter("remote.quarantines");
+      context_sends_ = &reg.counter("remote.context_sends");
       for (std::size_t i = 0; i < endpoints_.size(); ++i) {
         const std::string label = endpoint_label(endpoints_[i]);
         ep_metrics_[i].connect_s =
@@ -166,22 +220,29 @@ class RemoteExecutor final : public PooledExecutorBase {
       }
     }
 
+    // One puller per pool thread hands shards out in canonical order, so
+    // a job's shards run together and a connection sends each job's
+    // context about once (per-shard pool tasks would run in LIFO order and
+    // interleave jobs).
     std::vector<std::string> errors(tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const ShardTask& task = tasks[t];
-      const telemetry::TimePoint enqueued = telemetry::Clock::now();
-      pool_.submit([this, &task, &options, &roster, &errors, enqueued, t] {
-        if (queue_wait_s_ != nullptr)
-          CPSINW_TELEM(queue_wait_s_->record_since(enqueued));
-        const telemetry::TimePoint start = telemetry::Clock::now();
-        errors[t] = run_one(task, options, roster);
-        if (shard_exec_s_ != nullptr)
-          CPSINW_TELEM(shard_exec_s_->record_since(start));
-        if (trace() != nullptr)
-          trace()->add_span("remote:shard j" +
-                                std::to_string(task.shard->job) + "." +
-                                std::to_string(task.shard->index),
-                            "remote", start, telemetry::Clock::now());
+    std::atomic<std::size_t> next{0};
+    const telemetry::TimePoint enqueued = telemetry::Clock::now();
+    for (int w = 0; w < pool_.thread_count(); ++w) {
+      pool_.submit([&] {
+        for (std::size_t t = next++; t < tasks.size(); t = next++) {
+          const ShardTask& task = tasks[t];
+          if (queue_wait_s_ != nullptr)
+            CPSINW_TELEM(queue_wait_s_->record_since(enqueued));
+          const telemetry::TimePoint start = telemetry::Clock::now();
+          errors[t] = run_one(task, options, roster, connections);
+          if (shard_exec_s_ != nullptr)
+            CPSINW_TELEM(shard_exec_s_->record_since(start));
+          if (trace() != nullptr)
+            trace()->add_span("remote:shard j" +
+                                  std::to_string(task.shard->job) + "." +
+                                  std::to_string(task.shard->index),
+                              "remote", start, telemetry::Clock::now());
+        }
       });
     }
     pool_.wait_idle();
@@ -195,11 +256,8 @@ class RemoteExecutor final : public PooledExecutorBase {
   /// failure is reported (tagged with the canonical shard identity).
   [[nodiscard]] std::string run_one(const ShardTask& task,
                                     const ShardExecOptions& options,
-                                    EndpointRoster& roster) {
-    const std::string input = serialize_shard_input(
-        task.context->circuit(), task.context->patterns(), *task.universe,
-        *task.shard, options);
-
+                                    EndpointRoster& roster,
+                                    ConnectionPool& connections) {
     std::vector<char> tried(endpoints_.size(), 0);
     std::string last_error;
     int attempts = 0;
@@ -209,7 +267,14 @@ class RemoteExecutor final : public PooledExecutorBase {
       ++attempts;
       if (attempts > 1 && retries_ != nullptr)
         CPSINW_TELEM(retries_->add());
-      const std::string error = exchange(ep, roster.endpoint(ep), input, task);
+      // An exception (bad_alloc while encoding, say) fails this attempt
+      // like any I/O error, so the endpoint slot is still released.
+      std::string error;
+      try {
+        error = exchange(ep, roster.endpoint(ep), task, options, connections);
+      } catch (const std::exception& e) {
+        error = std::string("exception: ") + e.what();
+      }
       const bool ok = error.empty();
       EndpointMetrics& m = ep_metrics_[static_cast<std::size_t>(ep)];
       if (ok) {
@@ -246,36 +311,55 @@ class RemoteExecutor final : public PooledExecutorBase {
            last_error;
   }
 
-  /// One framed request/response attempt against one endpoint, the whole
+  /// One framed request/response attempt against one endpoint, on an
+  /// idle connection when there is one (connecting otherwise), the whole
   /// conversation under one wall-clock deadline.  Returns "" on success
-  /// (the slot is filled) or the failure text.
+  /// (the slot is filled and the connection parked for reuse) or the
+  /// failure text (the connection is closed).
   [[nodiscard]] std::string exchange(int ep_index, const net::Endpoint& ep,
-                                     const std::string& input,
-                                     const ShardTask& task) {
+                                     const ShardTask& task,
+                                     const ShardExecOptions& options,
+                                     ConnectionPool& connections) {
     const net::Deadline deadline =
         net::deadline_after(spec_.worker_timeout_s);
     EndpointMetrics& m = ep_metrics_[static_cast<std::size_t>(ep_index)];
     std::string error;
 
-    [[maybe_unused]] const telemetry::TimePoint t_connect =
-        telemetry::Clock::now();
-    const int fd = net::connect_endpoint(ep, deadline, &error);
-    if (m.connect_s != nullptr)
-      CPSINW_TELEM(m.connect_s->record_since(t_connect));
-    if (fd < 0) return error;
-    FdCloser closer{fd};
+    ConnectionPool::Connection conn = connections.take(ep_index, task.context);
+    if (conn.fd < 0) {
+      [[maybe_unused]] const telemetry::TimePoint t_connect =
+          telemetry::Clock::now();
+      conn.fd = net::connect_endpoint(ep, deadline, &error);
+      if (m.connect_s != nullptr)
+        CPSINW_TELEM(m.connect_s->record_since(t_connect));
+      if (conn.fd < 0) return error;
+    }
+    FdCloser closer{conn.fd};
 
+    // The server runs a context-less document against the context last
+    // sent in full on this connection.
+    const bool send_context = conn.context != task.context;
+    const std::string input =
+        send_context
+            ? serialize_shard_input(task.context->circuit(),
+                                    task.context->patterns(), *task.universe,
+                                    *task.shard, options)
+            : serialize_contextless_shard_input(*task.universe, *task.shard,
+                                                options);
     [[maybe_unused]] const telemetry::TimePoint t_send =
         telemetry::Clock::now();
-    const bool sent = net::send_frame(fd, input, deadline, &error);
+    const bool sent = net::send_frame(conn.fd, input, deadline, &error);
     if (m.send_s != nullptr) CPSINW_TELEM(m.send_s->record_since(t_send));
     if (!sent) return "send: " + error;
+    if (send_context && context_sends_ != nullptr)
+      CPSINW_TELEM(context_sends_->add());
+    conn.context = task.context;
 
     std::string output;
     [[maybe_unused]] const telemetry::TimePoint t_recv =
         telemetry::Clock::now();
-    const bool received =
-        net::recv_frame(fd, &output, deadline, net::kMaxFrameBytes, &error);
+    const bool received = net::recv_frame(conn.fd, &output, deadline,
+                                          net::kMaxFrameBytes, &error);
     const telemetry::TimePoint t_done = telemetry::Clock::now();
     if (m.recv_s != nullptr)
       CPSINW_TELEM(m.recv_s->record(
@@ -306,6 +390,8 @@ class RemoteExecutor final : public PooledExecutorBase {
           telemetry::TraceRecorder::remote_tid(
               telemetry::TraceRecorder::current_tid()));
     *task.slot = std::move(result);
+    closer.fd = -1;
+    connections.park(ep_index, conn);
     return {};
   }
 
@@ -316,6 +402,7 @@ class RemoteExecutor final : public PooledExecutorBase {
   telemetry::Histogram* shard_exec_s_ = nullptr;
   telemetry::Counter* retries_ = nullptr;
   telemetry::Counter* quarantines_ = nullptr;
+  telemetry::Counter* context_sends_ = nullptr;
 };
 
 }  // namespace

@@ -5,12 +5,22 @@
 // the servers on the campaign's own host (net::LocalServerProcess) is how
 // a campaign gets process isolation without a second host.
 //
+// Connections stay open for one run(): they open lazily, are parked per
+// endpoint between exchanges, and close when run() returns.  A server
+// keeps the context (circuit + patterns) last sent in full on each
+// connection, so a job's context crosses a connection once and its other
+// shards travel as context-less documents.  A connection is reused only
+// after a fully checked reply; any failure closes it.
+//
 // Scheduling policy (none of it can affect the answer — slots are filled
 // in canonical order upstream):
+//   * shards are handed to the pool threads in canonical order, and an
+//     exchange prefers an idle connection that already holds its job's
+//     context;
 //   * bounded in-flight shards per endpoint (`remote_max_in_flight`),
 //     least-loaded endpoint first;
-//   * per-attempt wall-clock timeout (`worker_timeout_s`) covering connect,
-//     send, and receive of one attempt;
+//   * per-attempt wall-clock timeout (`worker_timeout_s`) covering the
+//     connect (when the attempt opens a connection), send, and receive;
 //   * retry-on-another-endpoint failover: a shard that fails on one
 //     endpoint is retried on each remaining endpoint before its slot is
 //     placeholder-filled;

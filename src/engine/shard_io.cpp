@@ -234,6 +234,23 @@ CampaignFault parse_fault(const JsonValue& v) {
   return cf;
 }
 
+/// The `circuit` and `patterns` members: a work document's context, and
+/// the whole of a context fingerprint.
+void emit_context(Json& j, const logic::Circuit& ckt,
+                  const std::vector<logic::Pattern>& patterns) {
+  j.key("circuit");
+  emit_circuit(j, ckt);
+  j.key("patterns");
+  j.open_array();
+  for (const logic::Pattern& p : patterns) {
+    std::string s;
+    s.reserve(p.size());
+    for (const logic::LogicV v : p) s += logic::to_string(v);
+    j.value(s);
+  }
+  j.close_array();
+}
+
 int checked_version(const JsonValue& doc) {
   const int version = doc.at("version").as_int("version");
   if (version != kShardIoVersion)
@@ -249,17 +266,7 @@ std::string context_fingerprint(const logic::Circuit& ckt,
                                 const std::vector<logic::Pattern>& patterns) {
   Json j;
   j.open_object();
-  j.key("circuit");
-  emit_circuit(j, ckt);
-  j.key("patterns");
-  j.open_array();
-  for (const logic::Pattern& p : patterns) {
-    std::string s;
-    s.reserve(p.size());
-    for (const logic::LogicV v : p) s += logic::to_string(v);
-    j.value(s);
-  }
-  j.close_array();
+  emit_context(j, ckt, patterns);
   j.close_object();
   return std::move(j).str();
 }
@@ -273,11 +280,16 @@ std::uint64_t fingerprint_hash(const std::string& fingerprint) {
   return h;
 }
 
-std::string serialize_shard_input(const logic::Circuit& ckt,
-                                  const std::vector<logic::Pattern>& patterns,
-                                  const std::vector<CampaignFault>& universe,
-                                  const Shard& shard,
-                                  const ShardExecOptions& options) {
+namespace {
+
+/// One work document; the context members are left out when `ckt` is
+/// null.  Member order is fixed, so a document with its context is the
+/// same bytes whichever entry point wrote it.
+std::string emit_shard_input(const logic::Circuit* ckt,
+                             const std::vector<logic::Pattern>* patterns,
+                             const std::vector<CampaignFault>& universe,
+                             const Shard& shard,
+                             const ShardExecOptions& options) {
   if (shard.begin > shard.end || shard.end > universe.size())
     throw std::invalid_argument(
         "serialize_shard_input: shard range out of bounds");
@@ -313,17 +325,7 @@ std::string serialize_shard_input(const logic::Circuit& ckt,
   j.key("fault_sample_fraction");
   j.value(options.fault_sample_fraction);
   j.close_object();
-  j.key("circuit");
-  emit_circuit(j, ckt);
-  j.key("patterns");
-  j.open_array();
-  for (const logic::Pattern& p : patterns) {
-    std::string s;
-    s.reserve(p.size());
-    for (const logic::LogicV v : p) s += logic::to_string(v);
-    j.value(s);
-  }
-  j.close_array();
+  if (ckt != nullptr) emit_context(j, *ckt, *patterns);
   j.key("faults");
   j.open_array();
   for (std::size_t i = shard.begin; i < shard.end; ++i)
@@ -333,19 +335,43 @@ std::string serialize_shard_input(const logic::Circuit& ckt,
   return std::move(j).str();
 }
 
+}  // namespace
+
+std::string serialize_shard_input(const logic::Circuit& ckt,
+                                  const std::vector<logic::Pattern>& patterns,
+                                  const std::vector<CampaignFault>& universe,
+                                  const Shard& shard,
+                                  const ShardExecOptions& options) {
+  return emit_shard_input(&ckt, &patterns, universe, shard, options);
+}
+
+std::string serialize_contextless_shard_input(
+    const std::vector<CampaignFault>& universe, const Shard& shard,
+    const ShardExecOptions& options) {
+  return emit_shard_input(nullptr, nullptr, universe, shard, options);
+}
+
 ShardWorkInput parse_shard_input(const std::string& text) {
   const JsonValue doc = JsonParser(text).parse();
   checked_version(doc);
 
   ShardWorkInput input;
-  input.circuit = parse_circuit(doc.at("circuit"));
-
-  for (const JsonValue& pv : doc.at("patterns").as_array("patterns")) {
-    const std::string& s = pv.as_string("pattern");
-    logic::Pattern p;
-    p.reserve(s.size());
-    for (const char c : s) p.push_back(parse_logic_char(c));
-    input.patterns.push_back(std::move(p));
+  const JsonValue* circuit = doc.find("circuit");
+  const JsonValue* patterns = doc.find("patterns");
+  if ((circuit == nullptr) != (patterns == nullptr))
+    throw std::runtime_error(
+        "shard_io: a work document carries both circuit and patterns or "
+        "neither");
+  input.has_context = circuit != nullptr;
+  if (input.has_context) {
+    input.circuit = parse_circuit(*circuit);
+    for (const JsonValue& pv : patterns->as_array("patterns")) {
+      const std::string& s = pv.as_string("pattern");
+      logic::Pattern p;
+      p.reserve(s.size());
+      for (const char c : s) p.push_back(parse_logic_char(c));
+      input.patterns.push_back(std::move(p));
+    }
   }
 
   for (const JsonValue& fv : doc.at("faults").as_array("faults"))

@@ -3,6 +3,12 @@
 // versioned JSON document (one net frame) and reads a versioned
 // `ShardResult` JSON back.
 //
+// A work document's context — the (circuit, pattern set) pair — is
+// optional.  A server keeps the context of the last document that carried
+// one on each connection, so a client sends it once per connection per
+// job and ships every further shard of that job as a context-less
+// document: shard identity, options and the fault slice only.
+//
 // The circuit encoding preserves net and gate ids exactly (nets in id
 // order tagged pi/const/plain, gates in id order) — unlike the .cpn
 // exchange format, which renumbers both on read.  Identical ids are what
@@ -28,6 +34,9 @@ inline constexpr int kShardIoVersion = 1;
 /// [shard.begin, shard.end), and the reconstructed shard spans
 /// [0, faults.size()) while keeping the original job/index identity.
 struct ShardWorkInput {
+  /// False for a context-less document: `circuit` and `patterns` are
+  /// empty and the shard runs against its connection's installed context.
+  bool has_context = true;
   logic::Circuit circuit;                ///< finalized, ids preserved
   std::vector<logic::Pattern> patterns;  ///< the job's full pattern set
   std::vector<CampaignFault> faults;     ///< the shard's universe slice
@@ -41,8 +50,17 @@ struct ShardWorkInput {
     const std::vector<CampaignFault>& universe, const Shard& shard,
     const ShardExecOptions& options);
 
-/// Parses a shard work document (the request a server receives).
-/// @throws std::runtime_error on malformed JSON, an unknown version, or a
+/// Serializes one shard without its context: the same document as
+/// serialize_shard_input minus the `circuit` and `patterns` members, for a
+/// connection whose server already holds the job's context.
+[[nodiscard]] std::string serialize_contextless_shard_input(
+    const std::vector<CampaignFault>& universe, const Shard& shard,
+    const ShardExecOptions& options);
+
+/// Parses a shard work document (the request a server receives), with or
+/// without its context.
+/// @throws std::runtime_error on malformed JSON, an unknown version, a
+///   document carrying only one of `circuit` and `patterns`, or a
 ///   document that fails circuit finalization
 [[nodiscard]] ShardWorkInput parse_shard_input(const std::string& text);
 

@@ -83,7 +83,8 @@ std::pair<LogicV, LogicV> resolve(BridgeBehavior behavior, LogicV a,
 std::vector<LogicV> simulate_bridge(const logic::Circuit& ckt,
                                     const BridgeFault& fault,
                                     const Pattern& pattern) {
-  if (fault.a < 0 || fault.b < 0 || fault.a == fault.b)
+  if (fault.a < 0 || fault.b < 0 || fault.a == fault.b ||
+      fault.a >= ckt.net_count() || fault.b >= ckt.net_count())
     throw std::invalid_argument("simulate_bridge: bad net pair");
   const logic::Simulator sim(ckt);
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/net.hpp"
@@ -93,6 +94,33 @@ TEST(NetFrame, BackToBackFramesStayDelimited) {
   EXPECT_EQ(got, "first");
   ASSERT_TRUE(recv_frame(pair.b, &got, deadline, kMaxFrameBytes, &error));
   EXPECT_EQ(got, "second");
+}
+
+TEST(NetFrame, TrickledHeaderIsReassembled) {
+  // A peer that writes the header one byte at a time, then the payload
+  // and a whole second frame at once: the reader waits out every gap and
+  // still takes exactly one frame per call.
+  SocketPair pair;
+  const std::string header = std::string(kFrameMagic) + " 5\n";
+  const std::string rest = "hello" + std::string(kFrameMagic) + " 2\nok";
+  std::thread writer([&] {
+    for (const char c : header) {
+      EXPECT_EQ(write(pair.a, &c, 1), 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(write(pair.a, rest.data(), rest.size()),
+              static_cast<ssize_t>(rest.size()));
+  });
+  const Deadline deadline = deadline_after(10.0);
+  std::string got;
+  std::string error;
+  EXPECT_TRUE(recv_frame(pair.b, &got, deadline, kMaxFrameBytes, &error))
+      << error;
+  EXPECT_EQ(got, "hello");
+  EXPECT_TRUE(recv_frame(pair.b, &got, deadline, kMaxFrameBytes, &error))
+      << error;
+  EXPECT_EQ(got, "ok");
+  writer.join();
 }
 
 TEST(NetFrame, CleanEofBetweenFramesLeavesTheErrorEmpty) {

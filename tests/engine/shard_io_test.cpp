@@ -203,6 +203,77 @@ TEST(ShardIo, RetiredBatchTransistorKeyIsWrittenAndIgnored) {
   }
 }
 
+/// `doc` with the members from `from` up to (not including) `to` erased;
+/// both are ",\"key\":" markers of top-level members.
+std::string erase_members(std::string doc, const std::string& from,
+                          const std::string& to) {
+  const std::size_t begin = doc.find(",\"" + from + "\":");
+  const std::size_t end = doc.find(",\"" + to + "\":");
+  EXPECT_NE(begin, std::string::npos) << from;
+  EXPECT_NE(end, std::string::npos) << to;
+  return doc.erase(begin, end - begin);
+}
+
+TEST(ShardIo, ContextlessInputRoundTrips) {
+  Fixture fx;
+  fx.options.sim.observe_iddq = !fx.options.sim.observe_iddq;
+  fx.options.sim.sequential_patterns = !fx.options.sim.sequential_patterns;
+  fx.options.sim.detection_mode = faults::DetectionMode::kFirstOnly;
+  const std::string doc =
+      serialize_contextless_shard_input(fx.universe, fx.shard, fx.options);
+  // The full document minus its context members, byte for byte.
+  EXPECT_EQ(doc, erase_members(serialize_shard_input(fx.ckt, fx.patterns,
+                                                     fx.universe, fx.shard,
+                                                     fx.options),
+                               "circuit", "faults"));
+
+  const ShardWorkInput parsed = parse_shard_input(doc);
+  EXPECT_FALSE(parsed.has_context);
+  EXPECT_EQ(parsed.circuit.net_count(), 0);
+  EXPECT_TRUE(parsed.patterns.empty());
+  EXPECT_EQ(parsed.shard.job, fx.shard.job);
+  EXPECT_EQ(parsed.shard.index, fx.shard.index);
+  EXPECT_EQ(parsed.shard.begin, 0u);
+  EXPECT_EQ(parsed.shard.end, fx.universe.size());
+  EXPECT_EQ(parsed.shard.rng.state(), fx.shard.rng.state());
+  EXPECT_EQ(parsed.options.sim.observe_iddq, fx.options.sim.observe_iddq);
+  EXPECT_EQ(parsed.options.sim.sequential_patterns,
+            fx.options.sim.sequential_patterns);
+  EXPECT_EQ(parsed.options.sim.detection_mode,
+            faults::DetectionMode::kFirstOnly);
+  EXPECT_DOUBLE_EQ(parsed.options.fault_sample_fraction,
+                   fx.options.fault_sample_fraction);
+  ASSERT_EQ(parsed.faults.size(), fx.universe.size());
+  for (std::size_t i = 0; i < fx.universe.size(); ++i) {
+    ASSERT_EQ(parsed.faults[i].cls, fx.universe[i].cls) << "fault " << i;
+    if (fx.universe[i].cls == FaultClass::kBridge)
+      EXPECT_EQ(parsed.faults[i].bridge, fx.universe[i].bridge);
+    else
+      EXPECT_EQ(parsed.faults[i].fault, fx.universe[i].fault);
+  }
+  EXPECT_EQ(serialize_contextless_shard_input(parsed.faults, parsed.shard,
+                                              parsed.options),
+            doc);
+
+  EXPECT_TRUE(parse_shard_input(serialize_shard_input(
+                                    fx.ckt, fx.patterns, fx.universe,
+                                    fx.shard, fx.options))
+                  .has_context);
+}
+
+TEST(ShardIo, CircuitAndPatternsTravelTogether) {
+  const Fixture fx;
+  const std::string doc = serialize_shard_input(fx.ckt, fx.patterns,
+                                                fx.universe, fx.shard,
+                                                fx.options);
+  EXPECT_THROW((void)parse_shard_input(
+                   erase_members(doc, "patterns", "faults")),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_shard_input(
+                   erase_members(doc, "circuit", "patterns")),
+               std::runtime_error);
+}
+
 TEST(ShardIo, MalformedDocumentsThrowInsteadOfMisbehaving) {
   const Fixture fx;
   const std::string doc = serialize_shard_input(fx.ckt, fx.patterns,

@@ -131,6 +131,11 @@ TEST(Bridge, RejectsBadPairs) {
   EXPECT_THROW((void)simulate_bridge(ckt, {3, 3, BridgeBehavior::kWiredOr},
                                      bits_to_pattern(0, 5)),
                std::invalid_argument);
+  // A net past the circuit (a shard document written for another one).
+  EXPECT_THROW(
+      (void)simulate_bridge(ckt, {0, ckt.net_count(), BridgeBehavior::kWiredOr},
+                            bits_to_pattern(0, 5)),
+      std::invalid_argument);
 }
 
 TEST(Bridge, BehaviorNames) {

@@ -6,6 +6,12 @@
 // whether it runs inline, in a server on the campaign's host, or on
 // another host.
 //
+// Each connection holds the context (circuit + pattern set) of the last
+// work document on it that carried one.  A context-less document runs
+// against that installed context without parsing or fingerprinting a
+// circuit; on a connection with nothing installed it is a bad request
+// (counted, the connection closed, the server keeps serving).
+//
 // Besides work documents, a connection may send the tiny shard_io v1
 // `stats` request and gets a live telemetry snapshot back (uptime,
 // shards served, context-cache hit counters, per-shard latency
@@ -25,11 +31,13 @@
 // later connections are refused).
 //
 // Context caching: shards of one job share a (circuit, pattern set), so
-// the server memoizes the last compiled faults::EvalContext by content
-// fingerprint (engine::context_fingerprint — exact byte equality, never a
-// hash comparison).  Every shard of a job after the first skips circuit
-// compilation and the good-machine simulation; hit/miss counters ride on
-// the per-shard log line and on the stats snapshot.
+// the server also memoizes the last compiled faults::EvalContext across
+// connections by content fingerprint (engine::context_fingerprint — exact
+// byte equality, never a hash comparison).  A context-carrying document
+// whose job is already compiled skips circuit compilation and the
+// good-machine simulation.  Context-less documents count as hits, so
+// cache_hits + cache_misses == shards_served; the counters ride on the
+// per-shard log line and on the stats snapshot.
 #include <unistd.h>
 
 #include <csignal>
@@ -39,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -82,6 +91,7 @@ struct CachedJob {
   explicit CachedJob(cpsinw::logic::Circuit c) : circuit(std::move(c)) {}
   cpsinw::logic::Circuit circuit;
   std::optional<cpsinw::faults::EvalContext> ctx;
+  std::uint64_t fp_hash = 0;  ///< engine::fingerprint_hash, for log lines
 };
 
 /// Last-job context cache shared by every connection thread.
@@ -89,8 +99,6 @@ struct ContextCache {
   std::mutex mutex;
   std::string fingerprint;
   std::shared_ptr<const CachedJob> entry;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
 };
 
 ContextCache g_context_cache;
@@ -99,8 +107,37 @@ ContextCache g_context_cache;
 telemetry::TimePoint g_start_time;
 
 /// An idle client connection is held open this long before the server
-/// gives up on it (clients open one connection per shard and close it).
+/// gives up on it (clients keep a connection for one campaign's shard
+/// phase and close it when the phase ends).
 constexpr double kIdleTimeoutS = 3600.0;
+
+/// The compiled context of a context-carrying document: the shared
+/// last-job entry when its fingerprint matches (`*hit`), otherwise a fresh
+/// compilation that replaces it.  Consumes the document's circuit and
+/// patterns on a miss.
+std::shared_ptr<const CachedJob> resolve_context(
+    cpsinw::engine::ShardWorkInput& input,
+    telemetry::Histogram& compile_s, bool* hit) {
+  using namespace cpsinw;
+  std::string fp = engine::context_fingerprint(input.circuit, input.patterns);
+  {
+    std::lock_guard<std::mutex> lock(g_context_cache.mutex);
+    *hit = g_context_cache.entry != nullptr &&
+           g_context_cache.fingerprint == fp;
+    if (*hit) return g_context_cache.entry;
+  }
+  // Compile outside the lock: a slow build must not stall the shards of
+  // another connection that already have their context.
+  const telemetry::TimePoint compile_start = telemetry::Clock::now();
+  auto built = std::make_shared<CachedJob>(std::move(input.circuit));
+  built->ctx.emplace(built->circuit, std::move(input.patterns));
+  built->fp_hash = engine::fingerprint_hash(fp);
+  compile_s.record_since(compile_start);
+  std::lock_guard<std::mutex> lock(g_context_cache.mutex);
+  g_context_cache.fingerprint = std::move(fp);
+  g_context_cache.entry = built;
+  return built;
+}
 
 void serve_connection(int fd, const ServerConfig& config) {
   using namespace cpsinw;
@@ -113,6 +150,9 @@ void serve_connection(int fd, const ServerConfig& config) {
   telemetry::Counter& bad_requests = reg.counter("server.bad_requests");
   telemetry::Histogram& shard_exec_s = reg.histogram("server.shard_exec_s");
   telemetry::Histogram& compile_s = reg.histogram("server.context_compile_s");
+
+  // The context of the last context-carrying document on this connection.
+  std::shared_ptr<const CachedJob> installed;
 
   while (true) {
     std::string request;
@@ -143,6 +183,10 @@ void serve_connection(int fd, const ServerConfig& config) {
     engine::ShardWorkInput input;
     try {
       input = engine::parse_shard_input(request);
+      if (!input.has_context && installed == nullptr)
+        throw std::runtime_error(
+            "context-less work document on a connection with no installed "
+            "context");
     } catch (const std::exception& e) {
       bad_requests.add();
       util::log_kv(LogLevel::kWarn, "bad_request", {{"error", e.what()}});
@@ -180,61 +224,33 @@ void serve_connection(int fd, const ServerConfig& config) {
     }
 
     // Everything downstream of the parse can still throw (a semantically
-    // inconsistent fault list, an unbuildable context, bad_alloc on a
-    // huge document); an escape here would std::terminate the whole
-    // server from a detached thread.  One bad request costs one
-    // connection, never the endpoint.
+    // inconsistent fault list, a fault naming a net past the installed
+    // circuit, an unbuildable context, bad_alloc on a huge document); an
+    // escape here would std::terminate the whole server from a detached
+    // thread.  One bad request costs one connection, never the endpoint.
     try {
-      const std::string fp =
-          engine::context_fingerprint(input.circuit, input.patterns);
-      std::shared_ptr<const CachedJob> job;
-      bool hit = false;
-      std::size_t hits = 0;
-      std::size_t misses = 0;
-      {
-        std::lock_guard<std::mutex> lock(g_context_cache.mutex);
-        if (g_context_cache.entry != nullptr &&
-            g_context_cache.fingerprint == fp) {
-          job = g_context_cache.entry;
-          hit = true;
-          hits = ++g_context_cache.hits;
-          misses = g_context_cache.misses;
-        }
-      }
-      if (job == nullptr) {
-        // Compile outside the lock: a slow build must not stall the
-        // shards of another connection that already have their context.
-        const telemetry::TimePoint compile_start = telemetry::Clock::now();
-        auto built = std::make_shared<CachedJob>(std::move(input.circuit));
-        built->ctx.emplace(built->circuit, std::move(input.patterns));
-        compile_s.record_since(compile_start);
-        job = built;
-        std::lock_guard<std::mutex> lock(g_context_cache.mutex);
-        g_context_cache.fingerprint = fp;
-        g_context_cache.entry = job;
-        misses = ++g_context_cache.misses;
-        hits = g_context_cache.hits;
-      }
-      if (hit)
-        cache_hits.add();
-      else
-        cache_misses.add();
-      {
+      bool hit = true;  // a context-less document reuses the installed one
+      if (input.has_context)
+        installed = resolve_context(input, compile_s, &hit);
+      (hit ? cache_hits : cache_misses).add();
+      if (util::log_level() <= LogLevel::kInfo) {
         char fp_hex[24];
         std::snprintf(fp_hex, sizeof(fp_hex), "%llx",
-                      static_cast<unsigned long long>(
-                          engine::fingerprint_hash(fp)));
-        util::log_kv(LogLevel::kInfo, "shard",
-                     {{"job", input.shard.job},
-                      {"index", input.shard.index},
-                      {"context", hit ? "hit" : "miss"},
-                      {"fp", fp_hex},
-                      {"hits", static_cast<unsigned long long>(hits)},
-                      {"misses", static_cast<unsigned long long>(misses)}});
+                      static_cast<unsigned long long>(installed->fp_hash));
+        util::log_kv(
+            LogLevel::kInfo, "shard",
+            {{"job", input.shard.job},
+             {"index", input.shard.index},
+             {"context",
+              !input.has_context ? "installed" : hit ? "hit" : "miss"},
+             {"fp", fp_hex},
+             {"hits", static_cast<unsigned long long>(cache_hits.value())},
+             {"misses",
+              static_cast<unsigned long long>(cache_misses.value())}});
       }
       const telemetry::TimePoint exec_start = telemetry::Clock::now();
       const engine::ShardResult result =
-          engine::run_shard(*job->ctx, input.faults, input.shard,
+          engine::run_shard(*installed->ctx, input.faults, input.shard,
                             input.options);
       shard_exec_s.record_since(exec_start);
       shards_served.add();
