@@ -147,8 +147,8 @@ struct WorkFixture {
   }
 };
 
-/// Sends one frame on a fresh or given connection and reads the reply;
-/// false when the server closed the connection without one.
+/// Sends one frame on `fd` and reads the reply; false when the server
+/// closed the connection without one.
 bool exchange(int fd, const std::string& request, std::string* reply) {
   std::string error;
   EXPECT_TRUE(
