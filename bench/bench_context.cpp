@@ -53,6 +53,13 @@
 //     which dominated its wall time).  Gate: >= 10x with byte-identical
 //     stable JSON.
 //
+//  7. "atpg" (a sub-object of BENCH_compiled.json): the CP test-generation
+//     flow over the atpg_flow campaign workload's eleven netlists, ingested
+//     through `.bench`, at 1 thread: a frozen replica of the flow with the
+//     per-candidate greedy compaction and per-fault two-pattern engines
+//     against core::run_test_flow.  Gate: >= 1.5x with byte-identical
+//     test suites.
+//
 // Legs 1 and 2 time the library as shipped, so their "after" includes the
 // work reduction that legs 3 and 5 keep out.  The last line printed is the
 // JSON object of the *compiled* leg (with the other legs merged in as
@@ -67,15 +74,20 @@
 #include <string>
 #include <vector>
 
+#include "atpg/channel_break.hpp"
+#include "atpg/two_pattern.hpp"
 #include "bench_host.hpp"
+#include "core/test_flow.hpp"
 #include "engine/campaign.hpp"
 #include "faults/eval_context.hpp"
 #include "faults/fault_sim.hpp"
+#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/bench_format.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/simd.hpp"
 #include "util/rng.hpp"
+#include "../tests/faults/compaction_oracle.hpp"
 #include "../tests/faults/serial_oracle.hpp"
 
 namespace {
@@ -1391,6 +1403,185 @@ int run_end_to_end_leg(std::string& json_out) {
   return identical && speedup >= 10.0 ? 0 : 1;
 }
 
+// ---------------------------------------------------------------------------
+// Leg 7: the CP test-generation flow on the atpg_flow campaign workload's
+// eleven netlists, each ingested through `.bench`, at one thread.
+// "Before" is a frozen replica of the flow as it ran while compaction built
+// one EvalContext per candidate pattern (the greedy oracle of
+// tests/faults/compaction_oracle.hpp) and every two-pattern call built its
+// own PodemEngine and FaultSimulator; "after" is core::run_test_flow.
+
+namespace flow_replica {
+
+using atpg::AtpgResult;
+using atpg::AtpgStatus;
+using core::CoverageMethod;
+using core::FaultOutcome;
+using faults::Fault;
+using faults::FaultSite;
+
+core::TestSuite run_test_flow(const logic::Circuit& ckt,
+                              const core::TestFlowOptions& options) {
+  const atpg::PodemEngine engine(ckt);
+  core::TestSuite suite;
+  faults::FaultListOptions flo;
+  flo.collapse = true;
+  flo.observe_iddq = options.observe_iddq && !options.classical_only;
+  for (const Fault& f : generate_fault_list(ckt, flo)) {
+    FaultOutcome outcome;
+    outcome.fault = f;
+    if (f.site != FaultSite::kGateTransistor) {
+      const AtpgResult r = engine.generate_line(f, options.podem);
+      outcome.status = r.status;
+      if (r.status == AtpgStatus::kDetected) {
+        outcome.method = CoverageMethod::kStuckAtPattern;
+        suite.logic_patterns.push_back(r.pattern);
+      }
+      suite.outcomes.push_back(outcome);
+      continue;
+    }
+    const logic::GateInst& g = ckt.gate(f.gate);
+    const gates::FaultAnalysis& fa =
+        gates::DictionaryCache::global().lookup(g.kind, f.cell_fault);
+    if (fa.output_detectable) {
+      const AtpgResult r = engine.generate_functional(f, options.podem);
+      outcome.status = r.status;
+      if (r.status == AtpgStatus::kDetected) {
+        outcome.method = CoverageMethod::kFunctionalPattern;
+        suite.logic_patterns.push_back(r.pattern);
+        suite.outcomes.push_back(outcome);
+        continue;
+      }
+    }
+    if (!options.classical_only && fa.iddq_detectable &&
+        options.observe_iddq) {
+      const AtpgResult r = engine.generate_iddq(f, options.podem);
+      outcome.status = r.status;
+      if (r.status == AtpgStatus::kDetected) {
+        outcome.method = CoverageMethod::kIddqPattern;
+        suite.iddq_patterns.push_back(r.pattern);
+        suite.outcomes.push_back(outcome);
+        continue;
+      }
+    }
+    if (fa.needs_sequence &&
+        f.cell_fault.kind == gates::TransistorFault::kStuckOpen) {
+      const atpg::TwoPatternResult r =
+          atpg::generate_two_pattern(ckt, f, options.podem);
+      outcome.status = r.status;
+      if (r.status == AtpgStatus::kDetected && r.test) {
+        outcome.method = CoverageMethod::kTwoPattern;
+        suite.two_pattern_tests.push_back(*r.test);
+        suite.outcomes.push_back(outcome);
+        continue;
+      }
+    }
+    if (!options.classical_only &&
+        f.cell_fault.kind == gates::TransistorFault::kStuckOpen &&
+        gates::is_dynamic_polarity(g.kind)) {
+      auto test = atpg::derive_cell_test(g.kind, f.cell_fault.transistor);
+      if (test) {
+        test->gate = f.gate;
+        bool pi_fed = true;
+        for (int i = 0; i < g.input_count(); ++i)
+          if (!ckt.is_primary_input(g.in[static_cast<std::size_t>(i)]))
+            pi_fed = false;
+        test->pi_accessible = pi_fed;
+        const AtpgResult just = engine.justify_gate_cube(
+            f.gate, test->local_vector, options.podem);
+        if (just.status == AtpgStatus::kDetected) {
+          test->pattern = just.pattern;
+          outcome.method = CoverageMethod::kChannelBreak;
+          outcome.status = AtpgStatus::kDetected;
+          suite.channel_break_tests.push_back(*test);
+          suite.outcomes.push_back(outcome);
+          continue;
+        }
+      }
+    }
+    suite.outcomes.push_back(outcome);
+  }
+  if (options.compact) faults::test::reference_flow_compaction(ckt, suite);
+  return suite;
+}
+
+}  // namespace flow_replica
+
+int run_atpg_leg(std::string& json_out) {
+  // The atpg_flow workload's roster (campaign_bench/src/workloads.cpp).
+  const std::vector<std::pair<std::string, logic::Circuit>> natives = {
+      {"adder_tree_4x8", logic::adder_tree(4, 8)},
+      {"alu_array_7", logic::alu_array(7)},
+      {"ripple_adder_24", logic::ripple_adder(24)},
+      {"alu_array_6", logic::alu_array(6)},
+      {"adder_tree_4x6", logic::adder_tree(4, 6)},
+      {"alu_array_5", logic::alu_array(5)},
+      {"parity_tree_128", logic::parity_tree(128)},
+      {"ripple_adder_16", logic::ripple_adder(16)},
+      {"alu_array_4", logic::alu_array(4)},
+      {"tmr_voter_16", logic::tmr_voter(16)},
+      {"xor3_parity_chain_95", logic::xor3_parity_chain(95)}};
+  std::vector<logic::Circuit> circuits;
+  int gates = 0;
+  for (const auto& [name, native] : natives) {
+    circuits.push_back(
+        logic::read_bench_string(logic::to_bench_string(native)));
+    gates += circuits.back().gate_count();
+  }
+  std::cout << "=== ATPG flow: " << circuits.size()
+            << " netlists via .bench (" << gates << " gates), 1 thread ===\n";
+
+  const core::TestFlowOptions options;
+  std::string before_text;
+  std::string after_text;
+  std::size_t patterns = 0;
+  const auto flow = [&](bool before) {
+    std::string text;
+    std::size_t n = 0;
+    for (const logic::Circuit& ckt : circuits) {
+      const core::TestSuite suite = before ? flow_replica::run_test_flow(ckt, options)
+                                           : core::run_test_flow(ckt, options);
+      text += faults::test::suite_text(ckt, suite);
+      n += suite.logic_patterns.size() + suite.iddq_patterns.size() +
+           2 * suite.two_pattern_tests.size();
+    }
+    (before ? before_text : after_text) = std::move(text);
+    patterns = n;
+  };
+  // Two interleaved rounds, each side keeping its faster pass.
+  double before_s = 1e30;
+  double after_s = 1e30;
+  for (int round = 0; round < 2; ++round) {
+    auto t0 = Clock::now();
+    flow(true);
+    before_s = std::min(before_s, seconds_since(t0));
+    t0 = Clock::now();
+    flow(false);
+    after_s = std::min(after_s, seconds_since(t0));
+  }
+  const bool identical = before_text == after_text;
+  const double speedup = after_s > 0.0 ? before_s / after_s : 0.0;
+
+  std::cout << "before (per-candidate compaction, per-fault two-pattern "
+               "engines): "
+            << before_s * 1e3 << " ms\nafter (run_test_flow): "
+            << after_s * 1e3 << " ms\nspeedup: " << speedup
+            << "x, test suites "
+            << (identical ? "byte-identical" : "MISMATCH") << " ("
+            << patterns << " campaign patterns, " << after_text.size()
+            << " bytes dumped)\n\n";
+
+  json_out = "{\"netlists\":" + std::to_string(circuits.size()) +
+             ",\"gates\":" + std::to_string(gates) +
+             ",\"campaign_patterns\":" + std::to_string(patterns) +
+             ",\"threads\":1,\"before_s\":" + std::to_string(before_s) +
+             ",\"after_s\":" + std::to_string(after_s) +
+             ",\"speedup\":" + std::to_string(speedup) +
+             ",\"identical\":" + (identical ? "true" : "false") +
+             ",\"threshold\":1.5}";
+  return identical && speedup >= 1.5 ? 0 : 1;
+}
+
 }  // namespace
 
 int main() {
@@ -1405,15 +1596,18 @@ int main() {
   const int large_rc = run_large_circuit_leg(large_json);
   std::string end_to_end_json;
   const int end_to_end_rc = run_end_to_end_leg(end_to_end_json);
+  std::string atpg_json;
+  const int atpg_rc = run_atpg_leg(atpg_json);
 
   // One BENCH_compiled.json: the compiled-leg object with the batched,
-  // dropping, large-circuit and end-to-end legs merged in as sub-objects,
-  // so the bench trajectory stays a single file per commit.
+  // dropping, large-circuit, end-to-end and ATPG legs merged in as
+  // sub-objects, so the bench trajectory stays a single file per commit.
   const std::string json = compiled_json.substr(0, compiled_json.size() - 1) +
                            ",\"batched\":" + batched_json +
                            ",\"dropping\":" + dropping_json +
                            ",\"large_circuit\":" + large_json +
-                           ",\"end_to_end\":" + end_to_end_json + "," +
+                           ",\"end_to_end\":" + end_to_end_json +
+                           ",\"atpg\":" + atpg_json + "," +
                            bench::host_json_member() + "}";
   std::ofstream("BENCH_compiled.json") << json << "\n";
   std::cout << json << "\n";
@@ -1422,5 +1616,6 @@ int main() {
   if (compiled_rc != 0) return compiled_rc;
   if (batched_rc != 0) return batched_rc;
   if (dropping_rc != 0) return dropping_rc;
-  return large_rc != 0 ? large_rc : end_to_end_rc;
+  if (large_rc != 0) return large_rc;
+  return end_to_end_rc != 0 ? end_to_end_rc : atpg_rc;
 }

@@ -1,7 +1,5 @@
 #include "atpg/compaction.hpp"
 
-#include <algorithm>
-
 namespace cpsinw::atpg {
 
 CompactionResult compact_patterns(const logic::Circuit& ckt,
@@ -11,32 +9,26 @@ CompactionResult compact_patterns(const logic::Circuit& ckt,
   const faults::FaultSimulator fsim(ckt);
   CompactionResult out;
   out.original_count = static_cast<int>(patterns.size());
-  const faults::EvalContext before_ctx(ckt, patterns);
-  out.coverage_before = fsim.run(before_ctx, faults, options).coverage();
+  out.coverage_before = fsim.run(faults, patterns, options).coverage();
 
-  // Walk patterns in reverse; keep one iff it adds coverage over the kept
-  // set so far.  (Reverse order works well because ATPG emits patterns for
-  // hard faults last, and those often cover many easy faults.)
-  std::vector<logic::Pattern> kept;
-  std::vector<char> covered(faults.size(), 0);
-  int covered_count = 0;
-  for (auto it = patterns.rbegin(); it != patterns.rend(); ++it) {
-    bool adds = false;
-    const faults::EvalContext pattern_ctx(ckt, {*it});
-    const faults::FaultSimReport rep = fsim.run(pattern_ctx, faults, options);
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (covered[fi]) continue;
-      if (rep.records[fi].detected(options.observe_iddq)) {
-        covered[fi] = 1;
-        ++covered_count;
-        adds = true;
-      }
-    }
-    if (adds) kept.push_back(*it);
-    if (covered_count == static_cast<int>(faults.size())) break;
-  }
-  std::reverse(kept.begin(), kept.end());
-  out.patterns = std::move(kept);
+  // Reverse greedy keeps a pattern iff it is the last one that detects
+  // some fault on its own: walking backwards, a fault is still uncovered
+  // at p iff no later pattern detects it.  So one first-only pass over the
+  // reversed list finds every kept pattern; sequence threading is off so
+  // each pattern is judged alone, as in a one-pattern context.
+  faults::FaultSimOptions alone = options;
+  alone.sequential_patterns = false;
+  alone.detection_mode = faults::DetectionMode::kFirstOnly;
+  const std::vector<logic::Pattern> reversed(patterns.rbegin(),
+                                             patterns.rend());
+  std::vector<char> keep(patterns.size(), 0);
+  for (const faults::DetectionRecord& r :
+       fsim.run(faults, reversed, alone).records)
+    if (r.first_pattern >= 0)
+      keep[patterns.size() - 1 - static_cast<std::size_t>(r.first_pattern)] =
+          1;
+  for (std::size_t i = 0; i < patterns.size(); ++i)
+    if (keep[i]) out.patterns.push_back(patterns[i]);
   out.coverage_after = fsim.run(faults, out.patterns, options).coverage();
   return out;
 }

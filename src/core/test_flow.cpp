@@ -1,5 +1,8 @@
 #include "core/test_flow.hpp"
 
+#include <chrono>
+#include <optional>
+
 #include "gates/dictionary_cache.hpp"
 
 namespace cpsinw::core {
@@ -41,10 +44,28 @@ double TestSuite::coverage() const {
          static_cast<double>(outcomes.size());
 }
 
+namespace {
+
+/// Runs `step`, charging one call and its wall time to `stage`.
+template <class Step>
+auto timed(StageCost& stage, Step&& step) {
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = step();
+  stage.seconds += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  ++stage.calls;
+  return result;
+}
+
+}  // namespace
+
 TestSuite run_test_flow(const logic::Circuit& ckt,
                         const TestFlowOptions& options) {
   const atpg::PodemEngine engine(ckt);
+  const faults::FaultSimulator fsim(ckt);
   TestSuite suite;
+  FlowStages& stages = suite.stages;
 
   faults::FaultListOptions flo;
   flo.collapse = true;
@@ -59,7 +80,8 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
     outcome.fault = f;
 
     if (f.site != FaultSite::kGateTransistor) {
-      const AtpgResult r = engine.generate_line(f, options.podem);
+      const AtpgResult r = timed(
+          stages.line, [&] { return engine.generate_line(f, options.podem); });
       outcome.status = r.status;
       if (r.status == AtpgStatus::kDetected) {
         outcome.method = CoverageMethod::kStuckAtPattern;
@@ -75,7 +97,9 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
         gates::DictionaryCache::global().lookup(g.kind, f.cell_fault);
 
     if (fa.output_detectable) {
-      const AtpgResult r = engine.generate_functional(f, options.podem);
+      const AtpgResult r = timed(stages.functional, [&] {
+        return engine.generate_functional(f, options.podem);
+      });
       outcome.status = r.status;
       if (r.status == AtpgStatus::kDetected) {
         outcome.method = CoverageMethod::kFunctionalPattern;
@@ -86,7 +110,9 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
     }
     if (!options.classical_only && fa.iddq_detectable &&
         options.observe_iddq) {
-      const AtpgResult r = engine.generate_iddq(f, options.podem);
+      const AtpgResult r = timed(stages.iddq, [&] {
+        return engine.generate_iddq(f, options.podem);
+      });
       outcome.status = r.status;
       if (r.status == AtpgStatus::kDetected) {
         outcome.method = CoverageMethod::kIddqPattern;
@@ -97,8 +123,9 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
     }
     if (fa.needs_sequence &&
         f.cell_fault.kind == gates::TransistorFault::kStuckOpen) {
-      const atpg::TwoPatternResult r =
-          atpg::generate_two_pattern(ckt, f, options.podem);
+      const atpg::TwoPatternResult r = timed(stages.two_pattern, [&] {
+        return atpg::generate_two_pattern(engine, fsim, f, options.podem);
+      });
       outcome.status = r.status;
       if (r.status == AtpgStatus::kDetected && r.test) {
         outcome.method = CoverageMethod::kTwoPattern;
@@ -110,24 +137,31 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
     if (!options.classical_only &&
         f.cell_fault.kind == gates::TransistorFault::kStuckOpen &&
         gates::is_dynamic_polarity(g.kind)) {
-      auto test = atpg::derive_cell_test(g.kind, f.cell_fault.transistor);
+      const std::optional<atpg::ChannelBreakTest> test =
+          timed(stages.channel_break,
+                [&]() -> std::optional<atpg::ChannelBreakTest> {
+                  auto t = atpg::derive_cell_test(g.kind,
+                                                  f.cell_fault.transistor);
+                  if (!t) return std::nullopt;
+                  t->gate = f.gate;
+                  t->pi_accessible = true;
+                  for (int i = 0; i < g.input_count(); ++i)
+                    if (!ckt.is_primary_input(
+                            g.in[static_cast<std::size_t>(i)]))
+                      t->pi_accessible = false;
+                  const AtpgResult just = engine.justify_gate_cube(
+                      f.gate, t->local_vector, options.podem);
+                  if (just.status != AtpgStatus::kDetected)
+                    return std::nullopt;
+                  t->pattern = just.pattern;
+                  return t;
+                });
       if (test) {
-        test->gate = f.gate;
-        bool pi_fed = true;
-        for (int i = 0; i < g.input_count(); ++i)
-          if (!ckt.is_primary_input(g.in[static_cast<std::size_t>(i)]))
-            pi_fed = false;
-        test->pi_accessible = pi_fed;
-        const AtpgResult just = engine.justify_gate_cube(
-            f.gate, test->local_vector, options.podem);
-        if (just.status == AtpgStatus::kDetected) {
-          test->pattern = just.pattern;
-          outcome.method = CoverageMethod::kChannelBreak;
-          outcome.status = AtpgStatus::kDetected;
-          suite.channel_break_tests.push_back(*test);
-          suite.outcomes.push_back(outcome);
-          continue;
-        }
+        outcome.method = CoverageMethod::kChannelBreak;
+        outcome.status = AtpgStatus::kDetected;
+        suite.channel_break_tests.push_back(*test);
+        suite.outcomes.push_back(outcome);
+        continue;
       }
     }
     suite.outcomes.push_back(outcome);
@@ -148,8 +182,9 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
     faults::FaultSimOptions fso;
     fso.observe_iddq = false;
     fso.sequential_patterns = false;
-    const atpg::CompactionResult cr = atpg::compact_patterns(
-        ckt, comb, suite.logic_patterns, fso);
+    const atpg::CompactionResult cr = timed(stages.compaction, [&] {
+      return atpg::compact_patterns(ckt, comb, suite.logic_patterns, fso);
+    });
     if (cr.coverage_after >= cr.coverage_before)
       suite.logic_patterns = cr.patterns;
   }

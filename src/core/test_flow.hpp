@@ -2,7 +2,9 @@
 // paper's extensions (functional polarity-fault tests, IDDQ tests,
 // two-pattern stuck-open tests for SP gates, channel-break procedure for
 // DP gates), with verification by fault simulation and optional
-// compaction.
+// compaction.  One PodemEngine and one FaultSimulator serve every fault of
+// a run, so the circuit is compiled and SCOAP computed once per flow, not
+// once per fault.
 #pragma once
 
 #include <vector>
@@ -45,6 +47,23 @@ struct TestFlowOptions {
   bool classical_only = false;
 };
 
+/// Calls and wall time of one flow stage.
+struct StageCost {
+  int calls = 0;
+  double seconds = 0.0;
+};
+
+/// Where a flow run's time went, stage by stage.  Wall time varies from
+/// run to run; everything else in a TestSuite is deterministic.
+struct FlowStages {
+  StageCost line;           ///< line stuck-at PODEM, one call per line fault
+  StageCost functional;     ///< functional PODEM for output-visible faults
+  StageCost iddq;           ///< IDDQ PODEM
+  StageCost two_pattern;    ///< two-pattern stuck-open generation
+  StageCost channel_break;  ///< DP cell test derivation plus justification
+  StageCost compaction;     ///< compaction of the voltage-observed set
+};
+
 /// The generated test artifacts.
 struct TestSuite {
   std::vector<logic::Pattern> logic_patterns;    ///< voltage-observed tests
@@ -52,6 +71,7 @@ struct TestSuite {
   std::vector<atpg::TwoPatternTest> two_pattern_tests;
   std::vector<atpg::ChannelBreakTest> channel_break_tests;
   std::vector<FaultOutcome> outcomes;
+  FlowStages stages;
 
   [[nodiscard]] int covered_count() const;
   [[nodiscard]] int count(CoverageMethod method) const;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/test_flow.hpp"
@@ -55,9 +56,32 @@ std::vector<CampaignFault> build_universe(const logic::Circuit& ckt,
   return universe;
 }
 
-std::vector<logic::Pattern> build_patterns(const logic::Circuit& ckt,
-                                           const PatternSourceSpec& source,
-                                           util::SplitMix64 job_rng) {
+namespace {
+
+/// Adds one flow run's per-stage cost to `registry`: an
+/// `atpg.<stage>_calls` counter and one `atpg.<stage>_s` sample per stage.
+void record_flow_stages(telemetry::Registry& registry,
+                        const core::FlowStages& stages) {
+  const std::pair<const char*, const core::StageCost&> named[] = {
+      {"line", stages.line},
+      {"functional", stages.functional},
+      {"iddq", stages.iddq},
+      {"two_pattern", stages.two_pattern},
+      {"channel_break", stages.channel_break},
+      {"compaction", stages.compaction}};
+  for (const auto& [name, cost] : named) {
+    const std::string prefix = std::string("atpg.") + name;
+    registry.counter(prefix + "_calls")
+        .add(static_cast<std::uint64_t>(cost.calls));
+    registry.histogram(prefix + "_s").record(cost.seconds);
+  }
+}
+
+/// build_patterns, recording the ATPG flow's stage costs into `registry`
+/// when non-null.
+std::vector<logic::Pattern> build_job_patterns(
+    const logic::Circuit& ckt, const PatternSourceSpec& source,
+    util::SplitMix64 job_rng, telemetry::Registry* registry) {
   switch (source.kind) {
     case PatternSourceSpec::Kind::kExplicit:
       return source.explicit_patterns;
@@ -80,6 +104,7 @@ std::vector<logic::Pattern> build_patterns(const logic::Circuit& ckt,
       core::TestFlowOptions opt;
       opt.compact = source.atpg_compact;
       const core::TestSuite suite = core::run_test_flow(ckt, opt);
+      if (registry != nullptr) record_flow_stages(*registry, suite.stages);
       std::vector<logic::Pattern> out = suite.logic_patterns;
       out.insert(out.end(), suite.iddq_patterns.begin(),
                  suite.iddq_patterns.end());
@@ -93,6 +118,14 @@ std::vector<logic::Pattern> build_patterns(const logic::Circuit& ckt,
     }
   }
   throw std::invalid_argument("build_patterns: unknown source kind");
+}
+
+}  // namespace
+
+std::vector<logic::Pattern> build_patterns(const logic::Circuit& ckt,
+                                           const PatternSourceSpec& source,
+                                           util::SplitMix64 job_rng) {
+  return build_job_patterns(ckt, source, job_rng, nullptr);
 }
 
 namespace {
@@ -187,15 +220,17 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   std::vector<std::function<void()>> setup_tasks;
   setup_tasks.reserve(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    setup_tasks.push_back([&jobs, &spec, &campaign_rng, j] {
+    setup_tasks.push_back([&jobs, &spec, &campaign_rng, &telem,
+                           telemetry_on, j] {
       JobData& job = jobs[j];
       job.universe = build_universe(job.spec->circuit, spec.models,
                                     spec.sim.observe_iddq);
       job.context = std::make_unique<faults::EvalContext>(
           job.spec->circuit,
-          build_patterns(
+          build_job_patterns(
               job.spec->circuit, spec.patterns,
-              campaign_rng.fork(2 * static_cast<std::uint64_t>(j))));
+              campaign_rng.fork(2 * static_cast<std::uint64_t>(j)),
+              telemetry_on ? &telem.registry : nullptr));
       job.shards = make_shards(
           static_cast<int>(j), job.universe.size(), spec.shard_size,
           campaign_rng.fork(2 * static_cast<std::uint64_t>(j) + 1));

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 
+#include "../faults/compaction_oracle.hpp"
 #include "core/cp_fault_models.hpp"
+#include "gates/dictionary_cache.hpp"
+#include "logic/bench_format.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::core {
@@ -66,6 +69,68 @@ TEST(TestFlow, CompactionKeepsPatternsUseful) {
   const TestSuite b = run_test_flow(ckt, without);
   EXPECT_LE(a.logic_patterns.size(), b.logic_patterns.size());
   EXPECT_NEAR(a.coverage(), b.coverage(), 1e-12);
+}
+
+// The flow's one-pass compaction yields exactly the suite the per-candidate
+// greedy oracle makes of the uncompacted flow, on a native circuit and on
+// one ingested through the `.bench` front end.
+TEST(TestFlow, CompactedSuiteEqualsOracleCompaction) {
+  const logic::Circuit ingested =
+      logic::read_bench_string(logic::to_bench_string(logic::alu_array(4)));
+  for (const logic::Circuit& ckt : {logic::c17(), ingested}) {
+    TestFlowOptions without;
+    without.compact = false;
+    TestSuite want = run_test_flow(ckt, without);
+    const std::size_t uncompacted = want.logic_patterns.size();
+    faults::test::reference_flow_compaction(ckt, want);
+    EXPECT_LT(want.logic_patterns.size(), uncompacted);
+    EXPECT_EQ(faults::test::suite_text(ckt, run_test_flow(ckt)),
+              faults::test::suite_text(ckt, want));
+  }
+}
+
+// Stage call counts follow the flow's method ladder: every line fault gets
+// one line PODEM call; a transistor fault tries functional, then IDDQ,
+// then two-pattern generation, stopping at the first method that covers it.
+TEST(TestFlow, StageCallCountsOnC17) {
+  const logic::Circuit ckt = logic::c17();
+  const TestSuite suite = run_test_flow(ckt);
+  int line = 0;
+  int functional = 0;
+  int iddq = 0;
+  int two_pattern = 0;
+  for (const FaultOutcome& o : suite.outcomes) {
+    if (o.fault.site != faults::FaultSite::kGateTransistor) {
+      ++line;
+      continue;
+    }
+    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
+        ckt.gate(o.fault.gate).kind, o.fault.cell_fault);
+    if (fa.output_detectable) ++functional;
+    if (o.method == CoverageMethod::kFunctionalPattern) continue;
+    if (fa.iddq_detectable) ++iddq;
+    if (o.method == CoverageMethod::kIddqPattern) continue;
+    if (fa.needs_sequence &&
+        o.fault.cell_fault.kind == gates::TransistorFault::kStuckOpen)
+      ++two_pattern;
+  }
+  const FlowStages& s = suite.stages;
+  EXPECT_GT(line, 0);
+  EXPECT_GT(functional, 0);
+  EXPECT_GT(iddq, 0);
+  EXPECT_GT(two_pattern, 0);
+  EXPECT_EQ(s.line.calls, line);
+  EXPECT_EQ(s.functional.calls, functional);
+  EXPECT_EQ(s.iddq.calls, iddq);
+  EXPECT_EQ(s.two_pattern.calls, two_pattern);
+  EXPECT_EQ(s.channel_break.calls, 0);  // c17 has no DP gates
+  EXPECT_EQ(s.compaction.calls, 1);
+  EXPECT_GT(s.line.seconds, 0.0);
+  EXPECT_GT(s.compaction.seconds, 0.0);
+
+  TestFlowOptions without;
+  without.compact = false;
+  EXPECT_EQ(run_test_flow(ckt, without).stages.compaction.calls, 0);
 }
 
 TEST(CpFaultModels, CatalogueIsConsistent) {

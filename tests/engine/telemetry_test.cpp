@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/test_flow.hpp"
 #include "engine/campaign.hpp"
 #include "engine/json_reader.hpp"
 #include "engine/net.hpp"
@@ -475,6 +476,50 @@ TEST(ShardTelemetry, TransistorFaultsCountedOncePerPath) {
   patterns[3][1] = logic::LogicV::kX;
   EXPECT_EQ(deltas(patterns),
             (std::vector<std::uint64_t>{0, 0, binary + dual}));
+}
+
+// ------------------------------------------------- ATPG stage counters
+
+// A kAtpg job's flow stages land in the campaign registry as
+// `atpg.<stage>_calls` counters and `atpg.<stage>_s` histograms (one sample
+// per job), and only when telemetry is collected.
+TEST(TelemetryReport, AtpgSetupRecordsFlowStages) {
+  const logic::Circuit ckt = logic::c17();
+  CampaignSpec spec;
+  spec.jobs.push_back({"c17_a", ckt});
+  spec.jobs.push_back({"c17_b", ckt});
+  spec.patterns.kind = PatternSourceSpec::Kind::kAtpg;
+  spec.patterns.atpg_compact = true;
+  spec.threads = 2;
+  const std::string stable = run_campaign(spec).to_json();
+  EXPECT_EQ(stable.find("atpg."), std::string::npos);
+
+  spec.emit_telemetry = true;
+  const CampaignReport report = run_campaign(spec);
+  ASSERT_TRUE(report.ok()) << report.error;
+  CampaignReport without = report;
+  without.emit_telemetry = false;
+  EXPECT_EQ(stable, without.to_json());
+
+  const core::FlowStages stages = core::run_test_flow(ckt).stages;
+  const std::pair<const char*, int> expected[] = {
+      {"line", stages.line.calls},
+      {"functional", stages.functional.calls},
+      {"iddq", stages.iddq.calls},
+      {"two_pattern", stages.two_pattern.calls},
+      {"channel_break", stages.channel_break.calls},
+      {"compaction", stages.compaction.calls}};
+  for (const auto& [stage, calls] : expected) {
+    const std::string prefix = std::string("atpg.") + stage;
+    const telemetry::CounterValue* c =
+        report.telemetry.find_counter(prefix + "_calls");
+    ASSERT_NE(c, nullptr) << prefix;
+    EXPECT_EQ(c->value, 2u * static_cast<std::uint64_t>(calls)) << prefix;
+    const telemetry::HistogramValue* h =
+        report.telemetry.find_histogram(prefix + "_s");
+    ASSERT_NE(h, nullptr) << prefix;
+    EXPECT_EQ(h->count, 2u) << prefix;
+  }
 }
 
 // ----------------------------------------------- stable-JSON preservation
