@@ -615,9 +615,10 @@ std::vector<faults::DetectionRecord> run_range(
     if (dicts[slot] == nullptr)
       dicts[slot] = &ctx.dictionary(kind, f.cell_fault);
     const gates::FaultAnalysis& fa = *dicts[slot];
-    cc.eval_packed_faulty_planes(ctx.good_planes(), ctx.plane_stride(),
-                                 n_words, f.gate, fa, diff.data(),
-                                 contention.data(), nullptr, nullptr, lanes);
+    cc.eval_packed_faulty_planes(ctx.good_planes(), nullptr,
+                                 ctx.plane_stride(), n_words, f.gate, fa,
+                                 diff.data(), contention.data(), nullptr,
+                                 nullptr, lanes);
     std::uint64_t any_d = 0;
     std::uint64_t any_c = 0;
     for (std::size_t w = 0; w < n_words; ++w) {

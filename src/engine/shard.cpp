@@ -194,13 +194,11 @@ ShardResult run_shard(const faults::EvalContext& ctx,
     reg.counter("engine.batch_groups").add(batch_stats.groups);
     reg.counter("engine.batch_width").add(batch_stats.lane_slots);
     reg.counter("engine.faults_cpt").add(batch_stats.cpt_faults);
-    // Transistor faults by evaluation path: binary dictionaries on the
-    // value rail, marginal/floating ones on dual rails, and the serial
-    // scalar walk that only X-bearing pattern sets still take.
+    // Transistor faults by evaluation path: binary dictionaries on binary
+    // patterns take the value rail, everything else the dual rails.
     reg.counter("engine.faults_transistor_packed").add(path_stats.packed);
     reg.counter("engine.faults_transistor_dual_rail")
         .add(path_stats.dual_rail);
-    reg.counter("engine.faults_transistor_scalar").add(path_stats.scalar);
     auto& fill_hist = reg.histogram("shard.batch_fill");
     for (std::size_t k = 0; k < batch_stats.fill.size(); ++k) {
       const double encoded_s = static_cast<double>(1ull << k) * 1e-6;

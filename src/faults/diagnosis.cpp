@@ -29,12 +29,8 @@ Predicted predict(const logic::Circuit& ckt, const Fault& fault,
       out.outputs.push_back(r.value(po));
     return out;
   }
-  // Line fault: packed single-pattern simulation with the forced line.
-  const FaultSimulator fsim(ckt);
+  // Line fault: one X-aware pass over the good values with the line forced.
   const logic::SimResult good = sim.simulate(pattern);
-  // Re-simulate with the line forced by flipping through the public API:
-  // detection tells us whether each PO differs; reconstruct values.
-  // (Cheap direct approach: force via a faulty-value pass.)
   std::vector<LogicV> values = good.net_values;
   const LogicV forced = fault.stuck_at_one ? LogicV::k1 : LogicV::k0;
   if (fault.site == FaultSite::kNet)

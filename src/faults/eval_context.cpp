@@ -1,5 +1,6 @@
 #include "faults/eval_context.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "gates/cell.hpp"
@@ -45,26 +46,9 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
     if (p.size() != n_pi)
       throw std::invalid_argument("EvalContext: pattern arity mismatch");
 
-  // Packed planes need fully-specified patterns; an X anywhere keeps the
-  // context scalar-only: one good simulation per pattern, for the serial
-  // transistor path.  Packed contexts read the good machine from the
-  // planes instead (good_value()), so they never hold per-pattern
-  // SimResults — at campaign scale those dwarfed the planes.
   packed_ = true;
-  for (const logic::Pattern& p : patterns_) {
-    for (const logic::LogicV v : p)
-      if (!is_binary(v)) {
-        packed_ = false;
-        break;
-      }
-    if (!packed_) break;
-  }
-  if (!packed_) {
-    good_.reserve(patterns_.size());
-    for (const logic::Pattern& p : patterns_)
-      good_.push_back(sim_.simulate(p));
-    return;
-  }
+  for (const logic::Pattern& p : patterns_)
+    packed_ = packed_ && std::all_of(p.begin(), p.end(), logic::is_binary);
 
   // SoA bit-planes: word `w` of net `n` lives at [n * stride + w], so the
   // multi-word kernels stream one net's words contiguously.  The stride
@@ -82,8 +66,31 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
       if (patterns_[p][i] == logic::LogicV::k1)
         pi_planes_[i * stride_ + w] |= bit;
   }
-  sim_.compiled().init_packed_planes(pi_planes_.data(), stride_, good_planes_);
-  sim_.compiled().eval_packed_planes(good_planes_, stride_);
+  const logic::CompiledCircuit& cc = sim_.compiled();
+  if (!packed_) {
+    // X-bearing set: the binary plane kernel cannot carry X, so the good
+    // machine is the per-pattern scalar pass packed into the value planes
+    // (X lanes read 0) and the X rail.  Padding columns stay all zero.
+    const std::size_t n_net = static_cast<std::size_t>(ckt.net_count());
+    good_planes_.assign(n_net * stride_, 0);
+    good_x_planes_.assign(n_net * stride_, 0);
+    std::vector<logic::LogicV> values;
+    for (std::size_t p = 0; p < patterns_.size(); ++p) {
+      cc.init_scalar(patterns_[p], values);
+      cc.eval_scalar(values);
+      const std::uint64_t bit = 1ull << (p % 64);
+      for (std::size_t n = 0; n < n_net; ++n) {
+        const std::size_t i = n * stride_ + p / 64;
+        if (values[n] == logic::LogicV::k1)
+          good_planes_[i] |= bit;
+        else if (!is_binary(values[n]))
+          good_x_planes_[i] |= bit;
+      }
+    }
+    return;
+  }
+  cc.init_packed_planes(pi_planes_.data(), stride_, good_planes_);
+  cc.eval_packed_planes(good_planes_, stride_);
 
   // Criticality planes, built only where critical-path tracing is exact:
   // one primary output and every net feeding at most one gate pin

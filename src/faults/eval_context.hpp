@@ -4,8 +4,8 @@
 // the good machine and re-packed patterns for *every single fault*
 // (O(faults x patterns) good-machine work); an EvalContext makes that
 // O(patterns): packed PI words and the good machine as SoA bit planes
-// (or, for X-bearing pattern sets, one scalar good SimResult per pattern)
-// plus a memoized fault-dictionary cache.
+// (with a second, X plane per net when a pattern carries X) plus a
+// memoized fault-dictionary cache.
 //
 // Ownership and lifetime rules:
 //   * the circuit is held by reference and must outlive the context;
@@ -29,10 +29,9 @@ namespace cpsinw::faults {
 
 class EvalContext {
  public:
-  /// Builds the context: packed PI and good-machine planes when every
-  /// pattern is fully specified (binary), one scalar good simulation per
-  /// pattern otherwise.  X-bearing pattern sets still work for the serial
-  /// transistor path — only the packed paths require packability.
+  /// Builds the context: packed PI and good-machine planes, plus the good
+  /// machine's X rail when a pattern carries X.  Transistor faults run on
+  /// either; line faults require binary patterns (packed()).
   /// @throws std::invalid_argument on a pattern arity mismatch
   /// @param ckt finalized circuit; must outlive the context
   /// @param cache borrowed dictionary cache; nullptr selects global()
@@ -45,10 +44,10 @@ class EvalContext {
   }
   [[nodiscard]] std::size_t pattern_count() const { return patterns_.size(); }
 
-  /// True when every pattern is fully specified and the planes were built.
+  /// True when no pattern carries X (every pattern is fully specified).
   [[nodiscard]] bool packed() const { return packed_; }
 
-  // ---- SoA bit-planes (built only when packed()) ---------------------------
+  // ---- SoA bit-planes ------------------------------------------------------
 
   /// Pattern words: ceil(pattern_count() / 64).
   [[nodiscard]] std::size_t word_count() const { return n_words_; }
@@ -57,9 +56,15 @@ class EvalContext {
   /// but masked off by active_words()).
   [[nodiscard]] std::size_t plane_stride() const { return stride_; }
   /// Good-machine plane base: word `w` of net `n` is
-  /// good_planes()[n * plane_stride() + w].
+  /// good_planes()[n * plane_stride() + w].  Lanes where the good value is
+  /// X read 0.
   [[nodiscard]] const std::uint64_t* good_planes() const {
     return good_planes_.data();
+  }
+  /// Good-machine X rail, same layout: bit set where the good value is X
+  /// (or Z).  Null when packed(): binary sets have no X to mark.
+  [[nodiscard]] const std::uint64_t* good_x_planes() const {
+    return packed_ ? nullptr : good_x_planes_.data();
   }
   /// Row of good-machine words for one net.
   [[nodiscard]] const std::uint64_t* good_plane(logic::NetId net) const {
@@ -77,7 +82,7 @@ class EvalContext {
 
   // ---- criticality planes (critical-path tracing) --------------------------
 
-  /// True when the criticality planes were built: packed, at least one
+  /// True when the criticality planes were built: packed(), at least one
   /// pattern word, exactly one primary output, and every net feeding at
   /// most one gate pin.  On that shape (a fan-out-free single-output
   /// cone) critical-path tracing is exact — no reconvergent path exists
@@ -91,16 +96,17 @@ class EvalContext {
     return crit_planes_.data() + static_cast<std::size_t>(net) * stride_;
   }
 
-  /// Fault-free value of `net` under pattern `pattern`: read from the
-  /// good-machine planes when packed() (always binary there), from the
-  /// precomputed scalar simulation otherwise (may be X).
+  /// Fault-free value of `net` under pattern `pattern`, read from the
+  /// good-machine planes: kX where the X rail is set, binary otherwise.
   [[nodiscard]] logic::LogicV good_value(std::size_t pattern,
                                          logic::NetId net) const {
     assert(pattern < pattern_count());
-    if (!packed_) return good_[pattern].value(net);
-    return logic::from_bool(((good_plane(net)[pattern / 64] >>
-                              (pattern % 64)) &
-                             1u) != 0);
+    const std::size_t i =
+        static_cast<std::size_t>(net) * stride_ + pattern / 64;
+    const unsigned bit = pattern % 64;
+    if (!packed_ && ((good_x_planes_[i] >> bit) & 1u) != 0)
+      return logic::LogicV::kX;
+    return logic::from_bool(((good_planes_[i] >> bit) & 1u) != 0);
   }
 
   /// Memoized switch-level dictionary of (kind, fault).
@@ -122,11 +128,11 @@ class EvalContext {
   gates::DictionaryCache* cache_;
   std::vector<logic::Pattern> patterns_;
   logic::Simulator sim_;
-  std::vector<logic::SimResult> good_;  ///< scalar goods (!packed_ only)
   std::size_t n_words_ = 0;
   std::size_t stride_ = 0;
   std::vector<std::uint64_t> pi_planes_;    ///< [pi][stride_] PI words
   std::vector<std::uint64_t> good_planes_;  ///< [net][stride_] good words
+  std::vector<std::uint64_t> good_x_planes_;  ///< [net][stride_] (!packed_)
   std::vector<std::uint64_t> active_words_;
   std::vector<std::uint64_t> crit_planes_;  ///< [net][stride_] criticality
   bool packed_ = false;

@@ -5,7 +5,6 @@
 
 namespace cpsinw::faults {
 
-using logic::LogicV;
 using logic::Pattern;
 
 int FaultSimReport::detected_count() const {
@@ -21,8 +20,7 @@ double FaultSimReport::coverage() const {
          static_cast<double>(records.size());
 }
 
-FaultSimulator::FaultSimulator(const logic::Circuit& ckt)
-    : ckt_(ckt), sim_(ckt) {}
+FaultSimulator::FaultSimulator(const logic::Circuit& ckt) : ckt_(ckt) {}
 
 void FaultSimulator::check_context(const EvalContext& ctx) const {
   if (&ctx.circuit() != &ckt_)
@@ -100,11 +98,11 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
   if (any_line_fault)
     run_line_faults_batched(ctx, faults, begin, end, records, stats);
 
-  // --- Transistor faults: the plane kernel on packed contexts, the
-  // retained-state serial walk otherwise.  One scratch set serves the whole
-  // range (the plane kernel's cone cache persists across faults, so reuse
-  // also skips its per-call re-zeroing); path counts accumulate locally
-  // and reach the caller's sink once. --------------------------------------
+  // --- Transistor faults: the plane kernel, with the good X rail on
+  // X-bearing contexts.  One scratch set serves the whole range (the plane
+  // kernel's cone cache persists across faults, so reuse also skips its
+  // per-call re-zeroing); path counts accumulate locally and reach the
+  // caller's sink once. ----------------------------------------------------
   TransistorScratch scratch;
   TransistorPathStats local_paths;
   for (std::size_t fi = begin; fi < end; ++fi) {
@@ -122,7 +120,7 @@ void FaultSimulator::run_line_faults_batched(
     std::size_t begin, std::size_t end, std::vector<DetectionRecord>& records,
     LineBatchStats* stats) const {
   using logic::CompiledCircuit;
-  const CompiledCircuit& cc = sim_.compiled();
+  const CompiledCircuit& cc = ctx.compiled();
 
   // Gather + validate, then sort by injection position: the kernel skips
   // every gate before its group's earliest event, so co-locating faults
@@ -278,11 +276,11 @@ bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
     throw std::invalid_argument("line_fault_detected: bad pattern index");
   const CompiledCircuit::LineFault lf = checked_line_fault(ckt_, fault);
   if (!ctx.packed()) {
-    // Other patterns of the context carry X; this one may still be binary.
+    // Other patterns of the context carry X; this one may still be binary,
+    // and then its value-rail lanes are its exact good machine.
     const Pattern& p = ctx.patterns()[pattern_index];
     if (!std::all_of(p.begin(), p.end(), logic::is_binary))
       throw std::invalid_argument("line_fault_detected: X in pattern");
-    return line_fault_detected(fault, p);
   }
   // The batch kernel with one lane, over the strip from the kSimdWords-
   // aligned word holding the pattern (plane offsets must stay aligned with
@@ -294,7 +292,7 @@ bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
   active[w - w0] = 1ull << (pattern_index % 64);
   std::uint64_t det[CompiledCircuit::kSimdWords] = {};
   std::vector<std::uint64_t> lane_scratch;
-  (void)sim_.compiled().eval_packed_line_batch(
+  (void)ctx.compiled().eval_packed_line_batch(
       ctx.good_planes() + w0, ctx.plane_stride(), w - w0 + 1, active, &lf, 1,
       det, lane_scratch);
   return det[w - w0] != 0;
@@ -322,7 +320,7 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   if (fault.site != FaultSite::kGateTransistor)
     throw std::invalid_argument("simulate_transistor_fault: wrong site");
   if (fault.gate < 0 || fault.gate >= ckt_.gate_count())
-    throw std::invalid_argument("simulate_faulty: bad gate id");
+    throw std::invalid_argument("simulate_transistor_fault: bad gate id");
   const gates::CellKind kind = ckt_.gate(fault.gate).kind;
   const gates::CellFault& cf = fault.cell_fault;
   // Memoized dictionary lookup: index by (kind, fault kind, transistor),
@@ -344,53 +342,9 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   }
   const gates::FaultAnalysis& fa = *fap;
 
-  // Packed contexts run every dictionary on the planes (binary ones on the
-  // value rail, marginal/floating ones on dual rails); only X-bearing
-  // pattern sets walk the circuit pattern by pattern.
-  if (ctx.packed()) {
-    if (paths != nullptr)
-      ++(fa.compiled_binary ? paths->packed : paths->dual_rail);
-    return simulate_transistor_packed(ctx, fault, fa, options, scratch);
-  }
-  if (paths != nullptr) ++paths->scalar;
-  return simulate_transistor_serial(ctx, fault, fa, options);
-}
-
-DetectionRecord FaultSimulator::simulate_transistor_serial(
-    const EvalContext& ctx, const Fault& fault,
-    const gates::FaultAnalysis& fa, const FaultSimOptions& options) const {
-  const logic::GateFault gf{fault.gate, fault.cell_fault};
-  DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
-    const Pattern& p = ctx.patterns()[pi];
-    const logic::SimResult bad = sim_.simulate_faulty_with(
-        p, gf, fa, options.sequential_patterns && !state.empty() ? &state
-                                                                 : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const logic::NetId po : ckt_.primary_outputs()) {
-      const LogicV g = ctx.good_value(pi, po);
-      const LogicV b = bad.value(po);
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0)
-      rec.first_pattern = static_cast<int>(pi);
-    if (rec.first_pattern >= 0 &&
-        options.detection_mode == DetectionMode::kFirstOnly)
-      break;
-  }
-  return rec;
+  if (paths != nullptr)
+    ++(fa.compiled_binary && ctx.packed() ? paths->packed : paths->dual_rail);
+  return simulate_transistor_packed(ctx, fault, fa, options, scratch);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_packed(
@@ -400,21 +354,26 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
   // Faulty machine: every gate evaluates normally except the faulted one,
   // whose output words come from its compiled dictionary — pattern words
   // share the context's good planes.  Dictionaries with marginal or
-  // floating rows add the X rail, and with it the potential words.
+  // floating rows, and every dictionary on an X-bearing context, add the X
+  // rail, and with it the potential words.
   DetectionRecord rec;
   const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
-  const bool dual = !fa.compiled_binary;
+  const std::uint64_t* const good_x = ctx.good_x_planes();
+  const bool dual = !fa.compiled_binary || good_x != nullptr;
   // Which observables can ever fire: a definite PO flip needs a
   // kWrongValue row or a floating row (which may retain a wrong value), X
-  // at a PO a marginal or floating row, an IDDQ hit a contending row.  A
-  // marginal row alone never flips a PO: every defined value downstream of
-  // an X holds for both of its completions, the good one included.
+  // at a PO a marginal or floating row — or, on an X-bearing context, an X
+  // at the faulted gate's inputs where the good output is defined — and an
+  // IDDQ hit a contending row.  An X alone never flips a PO: every defined
+  // value downstream of an X holds for both of its completions, the good
+  // one included.
   const bool output_possible = fa.output_detectable || fa.needs_sequence;
-  const bool potential_possible = fa.marginal_detectable || fa.needs_sequence;
+  const bool potential_possible =
+      fa.marginal_detectable || fa.needs_sequence || good_x != nullptr;
   const bool iddq_possible = options.observe_iddq && fa.iddq_detectable;
   // With none of them possible the empty record is exact without any pass.
   if (!output_possible && !potential_possible && !iddq_possible) return rec;
-  const logic::CompiledCircuit& cc = sim_.compiled();
+  const logic::CompiledCircuit& cc = ctx.compiled();
   const std::size_t n_words = ctx.word_count();
   std::vector<std::uint64_t>& diff = scratch.diff;
   std::vector<std::uint64_t>& contention = scratch.contention;
@@ -447,10 +406,10 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
   while (w0 < n_words) {
     const std::size_t nw = std::min(strip, n_words - w0);
     strip = kWideStrip;
-    cc.eval_packed_faulty_planes(ctx.good_planes() + w0, ctx.plane_stride(),
-                                 nw, fault.gate, fa, diff.data(),
-                                 contention.data(), potential.data(), carry,
-                                 scratch.lanes);
+    cc.eval_packed_faulty_planes(
+        ctx.good_planes() + w0, good_x != nullptr ? good_x + w0 : nullptr,
+        ctx.plane_stride(), nw, fault.gate, fa, diff.data(),
+        contention.data(), potential.data(), carry, scratch.lanes);
     for (std::size_t w = 0; w < nw; ++w) {
       const std::uint64_t d = diff[w] & active[w0 + w];
       const std::uint64_t c = contention[w] & active[w0 + w];

@@ -1,6 +1,5 @@
-// Fault simulation over a shared EvalContext.  Every fault on a packed
-// context (fully specified patterns) runs on the SoA bit planes, one
-// kernel per fault shape:
+// Fault simulation over a shared EvalContext.  Every fault runs on the
+// context's SoA bit planes, one kernel per fault shape:
 //   * line stuck-at faults through the multi-fault batch kernel, or by
 //     critical-path tracing wherever the context's circuit is a fan-out-free
 //     single-output cone (chosen by circuit shape, not by an option);
@@ -9,14 +8,14 @@
 //     with marginal (X) or floating rows on dual rails, where floating
 //     outputs retain the previous pattern's value (what two-pattern
 //     stuck-open tests rely on) and X reaching a PO is a potential
-//     detection;
+//     detection.  X-bearing pattern sets put every dictionary on the dual
+//     rails, reading the context's good-machine X rail;
 //   * IDDQ observation of the paper's polarity faults from the
 //     dictionary's contention rows.
-// Only contexts with X-bearing patterns fall back to the serial scalar
-// routine, one circuit walk per pattern with retained state.  Fault
-// dropping is always on: a fault leaves the walk once nothing more can be
-// learned about it, which never changes a kFull record.  The slow
-// references these paths are pinned against live in the tests and benches.
+// Line faults need fully specified patterns.  Fault dropping is always on:
+// a fault leaves the walk once nothing more can be learned about it, which
+// never changes a kFull record.  The slow references these paths are
+// pinned against live in the tests and benches.
 //
 // All fault-independent work (pattern packing, the good machine, the
 // switch-level dictionaries) lives in a faults::EvalContext built once per
@@ -117,14 +116,13 @@ struct LineBatchStats {
 /// dictionary and context select, including faults resolved without a
 /// kernel pass.
 struct TransistorPathStats {
-  std::size_t packed = 0;     ///< binary dictionary, value rail only
-  std::size_t dual_rail = 0;  ///< marginal/floating rows, value + X rails
-  std::size_t scalar = 0;     ///< unpacked (X-bearing) context, serial walk
+  std::size_t packed = 0;  ///< binary dictionary and patterns, value rail
+  /// marginal/floating rows or X-bearing patterns, value + X rails
+  std::size_t dual_rail = 0;
 
   void merge(const TransistorPathStats& o) {
     packed += o.packed;
     dual_rail += o.dual_rail;
-    scalar += o.scalar;
   }
 };
 
@@ -207,8 +205,7 @@ class FaultSimulator {
       const Fault& fault, const std::vector<logic::Pattern>& patterns,
       const FaultSimOptions& options = {}) const;
 
-  /// Context-based variant: shares the precomputed good machine; runs on
-  /// the planes whenever the context is packed.
+  /// Context-based variant: shares the precomputed good machine's planes.
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options = {}) const;
@@ -261,14 +258,9 @@ class FaultSimulator {
       const FaultSimOptions& options, TransistorScratch& scratch,
       TransistorPathStats* paths) const;
 
-  /// Serial retained-state transistor path over the context's patterns:
-  /// what an unpacked (X-bearing) context runs.
-  [[nodiscard]] DetectionRecord simulate_transistor_serial(
-      const EvalContext& ctx, const Fault& fault,
-      const gates::FaultAnalysis& fa, const FaultSimOptions& options) const;
-
-  /// Plane transistor path for packed contexts: the value rail for binary
-  /// dictionaries, value + X rails for marginal/floating ones.
+  /// Plane transistor path: the value rail for binary dictionaries on
+  /// binary patterns, value + X rails for marginal/floating ones and for
+  /// every dictionary on X-bearing patterns.
   [[nodiscard]] DetectionRecord simulate_transistor_packed(
       const EvalContext& ctx, const Fault& fault,
       const gates::FaultAnalysis& fa, const FaultSimOptions& options,
@@ -277,7 +269,6 @@ class FaultSimulator {
   void check_context(const EvalContext& ctx) const;
 
   const logic::Circuit& ckt_;
-  logic::Simulator sim_;
 };
 
 }  // namespace cpsinw::faults

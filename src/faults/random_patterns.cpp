@@ -20,21 +20,16 @@ RandomPatternResult run_random_patterns(const logic::Circuit& ckt,
     throw std::invalid_argument(
         "run_random_patterns: one_probability must be in (0,1)");
 
-  const logic::Simulator sim(ckt);
-  // One compilation for the whole run (also backing `sim`); building an
-  // EvalContext per generated pattern would recompile the circuit each
-  // time.
-  const logic::CompiledCircuit& cc = sim.compiled();
+  const logic::CompiledCircuit cc(ckt);
   util::SplitMix64 rng(options.seed);
 
-  // Per-transistor-fault cached dictionary and retained net state, so that
+  // Per-transistor-fault cached dictionary and retained output, so that
   // floating outputs carry charge across the random sequence (chance
   // two-pattern stuck-open detection); per-line-fault validated compiled
   // descriptors.
   struct TransState {
-    logic::GateFault gf;
     const gates::FaultAnalysis* fa = nullptr;
-    std::vector<LogicV> state;
+    logic::CompiledCircuit::RetainedOutput retained;
   };
   std::vector<TransState> trans(faults.size());
   std::vector<logic::CompiledCircuit::LineFault> line(faults.size());
@@ -44,7 +39,6 @@ RandomPatternResult run_random_patterns(const logic::Circuit& ckt,
       line[fi] = checked_line_fault(ckt, f);
       continue;
     }
-    trans[fi].gf = {f.gate, f.cell_fault};
     trans[fi].fa = &gates::DictionaryCache::global().lookup(
         ckt.gate(f.gate).kind, f.cell_fault);
   }
@@ -56,31 +50,31 @@ RandomPatternResult run_random_patterns(const logic::Circuit& ckt,
   int stale = 0;
 
   // Every buffer the per-pattern verification loop touches is hoisted here
-  // and reused — the one-word PI and good planes, the batch kernel's lane
-  // scratch, the scalar good/faulty values — matching the run_range scratch
-  // pattern: no allocation per (pattern, fault) candidate.  (Retained
-  // transistor state moves by swap: `faulty_values` hands its storage to
-  // ts.state and takes the stale buffer back for the next candidate.)
+  // and reused — the one-word PI and good planes, the kernels' scratch and
+  // result words — matching the run_range scratch pattern: no allocation
+  // per (pattern, fault) candidate.  The pattern fills every lane of word
+  // 0, so the word's last lane (what a floating output carries into the
+  // next call) is the pattern itself; bit 0 is read back.
   using logic::CompiledCircuit;
   const std::size_t stride = CompiledCircuit::plane_stride(1);
   std::vector<std::uint64_t> pi_planes(ckt.primary_inputs().size() * stride);
   std::vector<std::uint64_t> good_planes;
   std::vector<std::uint64_t> lane_scratch;
-  const std::uint64_t active = 1;  // the pattern is bit 0 of word 0
+  std::vector<std::uint64_t> trans_scratch;
+  const std::uint64_t active = 1;
   std::uint64_t det[CompiledCircuit::kBatchLanes];
-  std::vector<LogicV> good_values;
-  std::vector<LogicV> faulty_values;
+  std::uint64_t diff = 0;
+  std::uint64_t contention = 0;
+  std::uint64_t potential = 0;
   for (int k = 0; k < options.max_patterns; ++k) {
     Pattern p(ckt.primary_inputs().size());
     for (auto& v : p)
       v = logic::from_bool(rng.chance(options.one_probability));
 
-    // Per generated pattern: the scalar good machine and the good planes
-    // are computed once here, not once per fault below.
-    cc.init_scalar(p, good_values);
-    cc.eval_scalar(good_values);
+    // Per generated pattern: the good planes are computed once here, not
+    // once per fault below.
     for (std::size_t i = 0; i < p.size(); ++i)
-      pi_planes[i * stride] = p[i] == LogicV::k1 ? 1ull : 0ull;
+      pi_planes[i * stride] = p[i] == LogicV::k1 ? ~0ull : 0ull;
     cc.init_packed_planes(pi_planes.data(), stride, good_planes);
     cc.eval_packed_planes(good_planes, stride);
 
@@ -90,24 +84,20 @@ RandomPatternResult run_random_patterns(const logic::Circuit& ckt,
       ++detected_count;
       progress = true;
     };
-    // Transistor faults: one scalar walk each, retained state threaded
-    // through the whole sequence (detected ones keep their state moving).
+    // Undetected transistor faults: one plane-kernel word each, retained
+    // output threaded through the whole sequence.
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (faults[fi].site != FaultSite::kGateTransistor) continue;
+      if (faults[fi].site != FaultSite::kGateTransistor || detected[fi])
+        continue;
       TransState& ts = trans[fi];
-      const bool has_state =
-          options.sim.sequential_patterns && !ts.state.empty();
-      cc.init_scalar(p, faulty_values);
-      const bool iddq = cc.eval_scalar_faulty(
-          faulty_values, ts.gf.gate, *ts.fa, has_state ? &ts.state : nullptr);
-      bool hit = iddq && options.sim.observe_iddq;
-      for (const logic::NetId po : ckt.primary_outputs()) {
-        const LogicV g = good_values[static_cast<std::size_t>(po)];
-        const LogicV b = faulty_values[static_cast<std::size_t>(po)];
-        if (is_binary(g) && is_binary(b) && g != b) hit = true;
-      }
-      if (options.sim.sequential_patterns) ts.state.swap(faulty_values);
-      if (hit && !detected[fi]) mark_detected(fi);
+      cc.eval_packed_faulty_planes(
+          good_planes.data(), nullptr, stride, 1, faults[fi].gate, *ts.fa,
+          &diff, &contention, &potential,
+          options.sim.sequential_patterns ? &ts.retained : nullptr,
+          trans_scratch);
+      if (((diff | (options.sim.observe_iddq ? contention : 0)) & active) !=
+          0)
+        mark_detected(fi);
     }
     // Undetected line faults: kBatchLanes at a time through the batch
     // kernel over the one-word planes.

@@ -224,36 +224,35 @@ std::size_t CompiledCircuit::eval_packed_line_batch(
 }
 
 void CompiledCircuit::eval_packed_faulty_planes(
-    const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
-    int fault_gate, const gates::FaultAnalysis& fa, std::uint64_t* diff,
+    const std::uint64_t* good_planes, const std::uint64_t* good_x,
+    std::size_t stride, std::size_t n_words, int fault_gate,
+    const gates::FaultAnalysis& fa, std::uint64_t* diff,
     std::uint64_t* contention, std::uint64_t* potential,
     RetainedOutput* retained, std::vector<std::uint64_t>& lane_scratch) const {
-  assert(fa.compiled_binary || potential != nullptr);
+  assert((fa.compiled_binary && good_x == nullptr) || potential != nullptr);
   assert(n_words <= stride);
   if (n_words == 0) return;
 #if defined(CPSINW_SIMD_AVX512)
   if (simd::active_backend() == simd::Backend::kAvx512)
-    return kernels::eval_faulty_planes_avx512(*this, good_planes, stride,
-                                              n_words, fault_gate, fa, diff,
-                                              contention, potential, retained,
-                                              lane_scratch);
+    return kernels::eval_faulty_planes_avx512(
+        *this, good_planes, good_x, stride, n_words, fault_gate, fa, diff,
+        contention, potential, retained, lane_scratch);
 #endif
 #if defined(CPSINW_SIMD_AVX2)
   if (simd::active_backend() == simd::Backend::kAvx2)
-    return kernels::eval_faulty_planes_avx2(*this, good_planes, stride,
-                                            n_words, fault_gate, fa, diff,
-                                            contention, potential, retained,
-                                            lane_scratch);
+    return kernels::eval_faulty_planes_avx2(
+        *this, good_planes, good_x, stride, n_words, fault_gate, fa, diff,
+        contention, potential, retained, lane_scratch);
 #endif
 #if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
   if (simd::active_backend() == simd::Backend::kNeon)
     return kernels::eval_faulty_planes_t<kernels::U64x2x2>(
-        *this, good_planes, stride, n_words, fault_gate, fa, diff, contention,
-        potential, retained, lane_scratch);
+        *this, good_planes, good_x, stride, n_words, fault_gate, fa, diff,
+        contention, potential, retained, lane_scratch);
 #endif
   kernels::eval_faulty_planes_t<kernels::U64x4>(
-      *this, good_planes, stride, n_words, fault_gate, fa, diff, contention,
-      potential, retained, lane_scratch);
+      *this, good_planes, good_x, stride, n_words, fault_gate, fa, diff,
+      contention, potential, retained, lane_scratch);
 }
 
 }  // namespace cpsinw::logic

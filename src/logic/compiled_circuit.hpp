@@ -2,9 +2,9 @@
 // arrays: the single evaluation kernel under scalar simulation, fault
 // simulation on SoA bit planes, and the ATPG forward-implication passes.
 // There is one packed representation (the planes below) and one kernel per
-// fault shape: eval_packed_line_batch for line stuck-at faults,
-// eval_packed_faulty_planes for transistor faults on binary patterns, and
-// eval_scalar_faulty for X-bearing patterns.
+// fault shape: eval_packed_line_batch for line stuck-at faults and
+// eval_packed_faulty_planes for transistor faults, on binary and X-bearing
+// pattern sets alike (the latter add a good-machine X rail).
 //
 // The compiler flattens the gate list into topological order (exactly
 // Circuit::topo_order(), so every consumer sees the same evaluation
@@ -120,10 +120,10 @@ class CompiledCircuit {
   // kSimdWords words is one aligned-width vector load.  `stride` must come
   // from plane_stride(): padded to a multiple of kSimdWords so the group
   // kernels have no tail loop (padding words are computed but never read —
-  // callers mask by their active words).  Packed contexts are binary-only
-  // (EvalContext falls back to scalar on any X), so the good machine has
-  // one value plane per net; only the transistor kernel grows an X rail,
-  // privately, over the faulted gate's fan-out cone.
+  // callers mask by their active words).  The good machine has one value
+  // plane per net, plus one X plane per net when a pattern carries X (X
+  // lanes read 0 on the value plane); the transistor kernel grows its own
+  // X rail over the faulted gate's fan-out cone.
 
   /// Pattern words processed per SIMD step (4 x 64 = 256 patterns).
   static constexpr std::size_t kSimdWords = 4;
@@ -190,16 +190,21 @@ class CompiledCircuit {
   ///   * `diff` — a definite PO value differs from the good machine;
   ///   * `contention` — a contention row is excited (the IDDQ observable);
   ///   * `potential` — X reached a PO (dual-rail dictionaries only).
-  /// Binary dictionaries (fa.compiled_binary) are a table substitution on
-  /// the value rail alone; `potential` and `retained` are ignored and may
-  /// be null.  Otherwise an X rail rides along: marginal rows drive X,
-  /// floating rows retain the gate's own output from the previous pattern
-  /// (threaded through `retained` across calls; a null `retained` makes
-  /// them read X), and cone gates propagate X exactly as good_table does.
-  /// Bit-identical to eval_scalar_faulty pattern by pattern on binary
-  /// inputs.  No early exit: IDDQ-only excitations in late words must
-  /// still be observed.
+  /// On binary planes (null `good_x`), binary dictionaries
+  /// (fa.compiled_binary) are a table substitution on the value rail alone;
+  /// `potential` and `retained` are ignored and may be null.  Otherwise an
+  /// X rail rides along: marginal rows drive X, floating rows retain the
+  /// gate's own output from the previous pattern (threaded through
+  /// `retained` across calls; a null `retained` makes them read X), and
+  /// cone gates propagate X exactly as good_table does.  A non-null
+  /// `good_x` (same layout as `good_planes`, set where the good value is
+  /// X) takes that X rail for every dictionary: an X local input of the
+  /// faulted gate drives X (no contention, retained as X), cone gates read
+  /// X from it, and POs count only where the good value is defined.
+  /// Bit-identical to eval_scalar_faulty pattern by pattern.  No early
+  /// exit: IDDQ-only excitations in late words must still be observed.
   void eval_packed_faulty_planes(const std::uint64_t* good_planes,
+                                 const std::uint64_t* good_x,
                                  std::size_t stride, std::size_t n_words,
                                  int fault_gate, const gates::FaultAnalysis& fa,
                                  std::uint64_t* diff, std::uint64_t* contention,

@@ -73,15 +73,17 @@ std::size_t eval_line_batch_avx2(const CompiledCircuit& cc,
 }
 
 void eval_faulty_planes_avx2(const CompiledCircuit& cc,
-                             const std::uint64_t* good, std::size_t stride,
+                             const std::uint64_t* good,
+                             const std::uint64_t* good_x, std::size_t stride,
                              std::size_t n_words, int fault_gate,
                              const gates::FaultAnalysis& fa,
                              std::uint64_t* diff, std::uint64_t* contention,
                              std::uint64_t* potential,
                              CompiledCircuit::RetainedOutput* retained,
                              std::vector<std::uint64_t>& lane_scratch) {
-  eval_faulty_planes_t<M256>(cc, good, stride, n_words, fault_gate, fa, diff,
-                             contention, potential, retained, lane_scratch);
+  eval_faulty_planes_t<M256>(cc, good, good_x, stride, n_words, fault_gate,
+                             fa, diff, contention, potential, retained,
+                             lane_scratch);
 }
 
 }  // namespace cpsinw::logic::kernels

@@ -394,10 +394,14 @@ inline V eval_cell_x_vec(gates::CellKind kind, const V& a, const V& b,
 /// walk of its fan-out cone.  kDual adds the X rail that marginal and
 /// floating rows need (contract: CompiledCircuit::eval_packed_faulty_planes);
 /// without it this is the binary table substitution, and `potential` and
-/// `retained` are never touched.
-template <class V, bool kDual>
+/// `retained` are never touched.  kGoodX (only with kDual) reads the good
+/// machine's X rail `good_x` as well: an X local input drives the faulted
+/// gate's output to X, cone gates take X from the good inputs they read,
+/// and POs where the good machine is X count for nothing.
+template <class V, bool kDual, bool kGoodX>
 void eval_faulty_planes_rails(const CompiledCircuit& cc,
-                              const std::uint64_t* good, std::size_t stride,
+                              const std::uint64_t* good,
+                              const std::uint64_t* good_x, std::size_t stride,
                               std::size_t n_words, int fault_gate,
                               const gates::FaultAnalysis& fa,
                               std::uint64_t* diff, std::uint64_t* contention,
@@ -550,8 +554,8 @@ void eval_faulty_planes_rails(const CompiledCircuit& cc,
   const auto strip = [&]<std::size_t NW>(std::size_t wg) {
     // Faulted gate: its local inputs equal the good machine's (single
     // faulted gate, acyclic circuit — they cannot be in its own cone), so
-    // they are binary and the contention accumulation is the per-pattern
-    // IDDQ excitation mask.
+    // on binary planes the contention accumulation is the per-pattern IDDQ
+    // excitation mask.
     for (std::size_t gi = 0; gi < NW; ++gi) {
       const V in[3] = {
           V::load(good + static_cast<std::size_t>(fg.in[0]) * stride + wg +
@@ -577,6 +581,18 @@ void eval_faulty_planes_rails(const CompiledCircuit& cc,
           if (((floating >> vec) & 1u) != 0) flt = flt | minterm;
         }
       }
+      if constexpr (kGoodX) {
+        // An X local input yields X, driven (retained as X by a later
+        // floating row), with no contention.
+        V xin = V::splat(0);
+        for (unsigned i = 0; i < fg.n_in; ++i)
+          xin = xin | V::load(good_x + static_cast<std::size_t>(fg.in[i]) *
+                                          stride +
+                              wg + gi * kW);
+        cont = cont & ~xin;
+        flt = flt & ~xin;
+        xo = xo | xin;
+      }
       if constexpr (kDual) {
         // Without sequence threading a floating output reads X.
         if (floating != 0) {
@@ -594,7 +610,8 @@ void eval_faulty_planes_rails(const CompiledCircuit& cc,
     // Cone walk: topological order guarantees every lane slot read below
     // was stored earlier in this strip (by the faulted gate or a cone
     // predecessor), so no per-gate validity checks remain.  Inputs read
-    // from the good planes are binary: their X rail is zero.
+    // from the good planes take their X rail from `good_x` (zero on binary
+    // planes).
     for (std::size_t idx = 0; idx < cone_len; ++idx) {
       const std::uint64_t e = cone[idx];
       const CompiledCircuit::GateRec& g = gates[e >> 3];
@@ -616,16 +633,22 @@ void eval_faulty_planes_rails(const CompiledCircuit& cc,
                                  : V::load(good + n2 * stride + wg + k);
         V::store(lv + o + k, eval_cell_vec(g.kind, a, b, c));
         if constexpr (kDual) {
-          const V zero = V::splat(0);
-          const V xa = (e & 1) != 0 ? V::load(lx + r0 + k) : zero;
-          const V xb = (e & 2) != 0 ? V::load(lx + r1 + k) : zero;
-          const V xc = (e & 4) != 0 ? V::load(lx + r2 + k) : zero;
+          const auto good_xrail = [&](std::size_t n) {
+            if constexpr (kGoodX)
+              return V::load(good_x + n * stride + wg + k);
+            else
+              return V::splat(0);
+          };
+          const V xa = (e & 1) != 0 ? V::load(lx + r0 + k) : good_xrail(n0);
+          const V xb = (e & 2) != 0 ? V::load(lx + r1 + k) : good_xrail(n1);
+          const V xc = (e & 4) != 0 ? V::load(lx + r2 + k) : good_xrail(n2);
           V::store(lx + o + k, eval_cell_x_vec(g.kind, a, b, c, xa, xb, xc));
         }
       }
     }
 
-    // Cone POs: a definite flip is a detection, an X is a potential one.
+    // Cone POs: a definite flip is a detection, an X is a potential one
+    // (neither counts where the good machine itself is X).
     for (std::size_t gi = 0; gi < NW; ++gi) {
       V d = V::splat(0);
       V p = V::splat(0);
@@ -634,7 +657,12 @@ void eval_faulty_planes_rails(const CompiledCircuit& cc,
         const std::size_t r = slot[n] * row + gi * kW;
         const V flip =
             V::load(lv + r) ^ V::load(good + n * stride + wg + gi * kW);
-        if constexpr (kDual) {
+        if constexpr (kGoodX) {
+          const V x = V::load(lx + r);
+          const V known = ~V::load(good_x + n * stride + wg + gi * kW);
+          d = d | (flip & ~x & known);
+          p = p | (x & known);
+        } else if constexpr (kDual) {
           const V x = V::load(lx + r);
           d = d | (flip & ~x);
           p = p | x;
@@ -660,24 +688,30 @@ void eval_faulty_planes_rails(const CompiledCircuit& cc,
   }
 }
 
-/// Entry shape shared by every backend: binary dictionaries take the
-/// value rail alone, the rest the dual-rail instantiation.
+/// Entry shape shared by every backend: on binary planes (null `good_x`)
+/// binary dictionaries take the value rail alone and the rest the dual-rail
+/// instantiation; an X-bearing good machine takes the dual rails with the
+/// good X rail for every dictionary.
 template <class V>
 void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
-                          std::size_t stride, std::size_t n_words,
-                          int fault_gate, const gates::FaultAnalysis& fa,
-                          std::uint64_t* diff, std::uint64_t* contention,
-                          std::uint64_t* potential,
+                          const std::uint64_t* good_x, std::size_t stride,
+                          std::size_t n_words, int fault_gate,
+                          const gates::FaultAnalysis& fa, std::uint64_t* diff,
+                          std::uint64_t* contention, std::uint64_t* potential,
                           CompiledCircuit::RetainedOutput* retained,
                           std::vector<std::uint64_t>& lane_scratch) {
-  if (fa.compiled_binary)
-    eval_faulty_planes_rails<V, false>(cc, good, stride, n_words, fault_gate,
-                                       fa, diff, contention, potential,
-                                       retained, lane_scratch);
+  if (good_x != nullptr)
+    eval_faulty_planes_rails<V, true, true>(cc, good, good_x, stride, n_words,
+                                            fault_gate, fa, diff, contention,
+                                            potential, retained, lane_scratch);
+  else if (fa.compiled_binary)
+    eval_faulty_planes_rails<V, false, false>(
+        cc, good, nullptr, stride, n_words, fault_gate, fa, diff, contention,
+        potential, retained, lane_scratch);
   else
-    eval_faulty_planes_rails<V, true>(cc, good, stride, n_words, fault_gate,
-                                      fa, diff, contention, potential,
-                                      retained, lane_scratch);
+    eval_faulty_planes_rails<V, true, false>(
+        cc, good, nullptr, stride, n_words, fault_gate, fa, diff, contention,
+        potential, retained, lane_scratch);
 }
 
 // ---- AVX2 entry points (defined in compiled_circuit_avx2.cpp) -------------
@@ -698,7 +732,8 @@ std::size_t eval_line_batch_avx2(const CompiledCircuit& cc,
                                  std::size_t n_faults, std::uint64_t* det,
                                  std::vector<std::uint64_t>& lane_scratch);
 void eval_faulty_planes_avx2(const CompiledCircuit& cc,
-                             const std::uint64_t* good, std::size_t stride,
+                             const std::uint64_t* good,
+                             const std::uint64_t* good_x, std::size_t stride,
                              std::size_t n_words, int fault_gate,
                              const gates::FaultAnalysis& fa,
                              std::uint64_t* diff, std::uint64_t* contention,
@@ -721,7 +756,8 @@ std::size_t eval_line_batch_avx512(
     const CompiledCircuit::LineFault* faults, std::size_t n_faults,
     std::uint64_t* det, std::vector<std::uint64_t>& lane_scratch);
 void eval_faulty_planes_avx512(const CompiledCircuit& cc,
-                               const std::uint64_t* good, std::size_t stride,
+                               const std::uint64_t* good,
+                               const std::uint64_t* good_x, std::size_t stride,
                                std::size_t n_words, int fault_gate,
                                const gates::FaultAnalysis& fa,
                                std::uint64_t* diff, std::uint64_t* contention,

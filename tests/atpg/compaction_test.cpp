@@ -157,8 +157,8 @@ std::vector<Pattern> x_bearing_patterns(const logic::Circuit& ckt, int count,
   return out;
 }
 
-// X-bearing candidates leave the context unpacked, so transistor faults take
-// the serial scalar routine; the kept set must still match the oracle.
+// X-bearing candidates put every transistor fault on the dual rails over the
+// good machine's X rail; the kept set must still match the oracle.
 TEST(Compaction, XBearingTransistorUniverseMatchesGreedyOracle) {
   for (const logic::Circuit& ckt :
        {logic::c17(), logic::alu_array(2), logic::parity_tree(9)}) {

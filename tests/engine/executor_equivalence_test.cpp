@@ -12,6 +12,7 @@
 #include "engine/campaign.hpp"
 #include "logic/benchmarks.hpp"
 #include "remote_test_util.hpp"
+#include "util/rng.hpp"
 
 namespace cpsinw::engine {
 namespace {
@@ -85,6 +86,42 @@ TEST(ExecutorEquivalence, ExplicitSourceAllFiveFaultClasses) {
     EXPECT_GT(r.jobs[0].by_class[static_cast<std::size_t>(c)].total, 0)
         << to_string(static_cast<FaultClass>(c));
   EXPECT_NE(json.find("bridge"), std::string::npos);
+}
+
+// An explicit X-bearing set: transistor faults run on the dual rails over
+// the good machine's X rail, bridges read X good values from it.  Line
+// faults stay out of the universe (they require binary patterns).
+TEST(ExecutorEquivalence, XBearingExplicitSourceTransistorAndBridgeFaults) {
+  CampaignSpec spec;
+  logic::Circuit ckt = logic::alu_slice();
+  util::SplitMix64 rng(4242);
+  for (int k = 0; k < 130; ++k) {
+    logic::Pattern p(ckt.primary_inputs().size());
+    for (logic::LogicV& v : p)
+      v = rng.chance(0.15) ? logic::LogicV::kX
+                           : logic::from_bool(rng.chance(0.5));
+    spec.patterns.explicit_patterns.push_back(std::move(p));
+  }
+  spec.patterns.explicit_patterns[0][0] = logic::LogicV::kX;
+  spec.patterns.kind = PatternSourceSpec::Kind::kExplicit;
+  spec.jobs.push_back({"alu_slice", std::move(ckt)});
+  spec.models.line_stuck_at = false;
+  spec.models.bridge = true;
+  spec.shard_size = 8;
+
+  (void)assert_all_backends_identical(spec, "x-bearing explicit");
+
+  const CampaignReport r = run_on(spec, ExecutorBackend::kInline, 1);
+  ASSERT_TRUE(r.ok()) << r.error;
+  int potential = 0;
+  for (const FaultClass c : {FaultClass::kPolarity, FaultClass::kStuckOpen,
+                             FaultClass::kStuckOn, FaultClass::kBridge}) {
+    const ClassStats& cs = r.jobs[0].by_class[static_cast<std::size_t>(c)];
+    EXPECT_GT(cs.total, 0) << to_string(c);
+    EXPECT_GT(cs.detected, 0) << to_string(c);
+    potential += cs.potential;
+  }
+  EXPECT_GT(potential, 0);
 }
 
 TEST(ExecutorEquivalence, RandomSourceTwoJobsWithFaultSampling) {

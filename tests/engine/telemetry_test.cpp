@@ -449,14 +449,13 @@ TEST(ShardTelemetry, TransistorFaultsCountedOncePerPath) {
   shard.begin = 0;
   shard.end = universe.size();
   const char* const kPaths[] = {"engine.faults_transistor_packed",
-                                "engine.faults_transistor_dual_rail",
-                                "engine.faults_transistor_scalar"};
+                                "engine.faults_transistor_dual_rail"};
   const auto deltas = [&](const std::vector<logic::Pattern>& patterns) {
     std::vector<std::uint64_t> before;
     for (const char* name : kPaths) before.push_back(global_counter(name));
     (void)run_shard(ckt, universe, patterns, shard, {});
     std::vector<std::uint64_t> out;
-    for (std::size_t k = 0; k < 3; ++k)
+    for (std::size_t k = 0; k < 2; ++k)
       out.push_back(global_counter(kPaths[k]) - before[k]);
     return out;
   };
@@ -468,14 +467,12 @@ TEST(ShardTelemetry, TransistorFaultsCountedOncePerPath) {
       p[i] = logic::from_bool(((v >> i) & 1u) != 0);
     patterns.push_back(std::move(p));
   }
-  EXPECT_EQ(deltas(patterns),
-            (std::vector<std::uint64_t>{binary, dual, 0}));
+  EXPECT_EQ(deltas(patterns), (std::vector<std::uint64_t>{binary, dual}));
 
-  // One X anywhere keeps the context unpacked: every transistor fault
-  // takes the serial scalar walk.
+  // One X anywhere adds the good machine's X rail: every transistor fault
+  // takes the dual rails.
   patterns[3][1] = logic::LogicV::kX;
-  EXPECT_EQ(deltas(patterns),
-            (std::vector<std::uint64_t>{0, 0, binary + dual}));
+  EXPECT_EQ(deltas(patterns), (std::vector<std::uint64_t>{0, binary + dual}));
 }
 
 // ------------------------------------------------- ATPG stage counters

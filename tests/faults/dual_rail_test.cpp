@@ -21,6 +21,7 @@
 #include "logic/compiled_circuit.hpp"
 #include "logic/simd.hpp"
 #include "serial_oracle.hpp"
+#include "util/rng.hpp"
 
 namespace cpsinw::faults {
 namespace {
@@ -152,7 +153,6 @@ TEST(DualRail, RandomizedRosterMatchesSerialOracleEverywhere) {
             ctx, faults, 0, faults.size(), base, nullptr, &paths);
         EXPECT_EQ(paths.dual_rail, dual) << w.name;
         EXPECT_EQ(paths.packed + paths.dual_rail, faults.size()) << w.name;
-        EXPECT_EQ(paths.scalar, 0u) << w.name;
         for (std::size_t i = 0; i < faults.size(); ++i)
           expect_record_eq(got[i], want[i],
                            w.name + " fault " + std::to_string(i) +
@@ -315,28 +315,125 @@ TEST(DualRail, FloatingOnlyDictionaryDetectedThroughRetention) {
   EXPECT_GT(checked, 0u) << "c17 has no floating-only stuck-open";
 }
 
-// X-bearing explicit patterns keep the context unpacked; transistor faults
-// then take the serial scalar routine, still matching the oracle.
-TEST(DualRail, XBearingPatternsTakeTheScalarRoutine) {
+// X-bearing explicit patterns give the context a good-machine X rail;
+// every transistor fault, binary dictionary or not, then takes the dual
+// rails, still matching the oracle.
+TEST(DualRail, XBearingPatternsTakeTheDualRails) {
   const Circuit ckt = logic::c17();
   std::vector<Pattern> patterns = random_patterns(ckt, 70, 53);
   patterns[5][2] = LogicV::kX;
   patterns[66][0] = LogicV::kX;
   const EvalContext ctx(ckt, patterns);
   ASSERT_FALSE(ctx.packed());
+  ASSERT_NE(ctx.good_x_planes(), nullptr);
   const std::vector<Fault> faults = transistor_faults(ckt);
   const FaultSimulator fsim(ckt);
   for (const FaultSimOptions& opt : record_options()) {
-    TransistorPathStats paths;
-    const std::vector<DetectionRecord> got =
-        fsim.run_range(ctx, faults, 0, faults.size(), opt, nullptr, &paths);
-    EXPECT_EQ(paths.scalar, faults.size());
-    EXPECT_EQ(paths.packed + paths.dual_rail, 0u);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      expect_record_eq(got[i],
-                       reference_transistor(ckt, faults[i], patterns, opt),
-                       "fault " + std::to_string(i) + describe(opt));
+    for (const bool portable : portable_settings()) {
+      const ForcePortable pin(portable);
+      TransistorPathStats paths;
+      const std::vector<DetectionRecord> got =
+          fsim.run_range(ctx, faults, 0, faults.size(), opt, nullptr, &paths);
+      EXPECT_EQ(paths.dual_rail, faults.size());
+      EXPECT_EQ(paths.packed, 0u);
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        expect_record_eq(got[i],
+                         reference_transistor(ckt, faults[i], patterns, opt),
+                         "fault " + std::to_string(i) + describe(opt) +
+                             (portable ? " portable" : " simd"));
+    }
   }
+}
+
+/// `count` random patterns over `ckt`: each input X with probability
+/// `density`, otherwise a fair binary draw; pin 0 X throughout when
+/// `pin0_x`.  The set always carries at least one X.
+std::vector<Pattern> x_patterns(const Circuit& ckt, std::size_t count,
+                                double density, bool pin0_x,
+                                std::uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  std::vector<Pattern> out;
+  bool any_x = false;
+  for (std::size_t k = 0; k < count; ++k) {
+    Pattern p(ckt.primary_inputs().size());
+    for (LogicV& v : p) {
+      v = rng.chance(density) ? LogicV::kX : logic::from_bool(rng.chance(0.5));
+      any_x = any_x || v == LogicV::kX;
+    }
+    if (pin0_x) p[0] = LogicV::kX;
+    out.push_back(std::move(p));
+  }
+  if (!any_x && !pin0_x) out.back()[seed % out.back().size()] = LogicV::kX;
+  return out;
+}
+
+// X-bearing pattern sets on the plane path, against the serial oracle:
+// X at the faulted gate's inputs, X from the good machine into cone gates,
+// POs whose good value is X, retention of an X-driven output, and faults
+// whose dictionary has no detectable row at all (an X at their gate's
+// inputs can still reach a PO whose good value is defined: potential
+// only).  Pattern counts cross word (64) and first-strip (256) boundaries.
+TEST(DualRail, XBearingSetsMatchSerialOracleEverywhere) {
+  std::vector<Named> circuits;
+  circuits.push_back({"c17", logic::c17()});
+  circuits.push_back({"alu_slice", logic::alu_slice()});
+  circuits.push_back({"full_adder", logic::full_adder()});
+  circuits.push_back({"parity_tree_9", logic::parity_tree(9)});
+  circuits.push_back({"tmr_voter_3", logic::tmr_voter(3)});
+  circuits.push_back({"xor3_parity_chain_7", logic::xor3_parity_chain(7)});
+  struct Density {
+    const char* name;
+    double p;
+    bool pin0_x;
+  };
+  const Density densities[] = {
+      {"x5%", 0.05, false}, {"x30%", 0.30, false}, {"pin0=X", 0.0, true}};
+  std::size_t rowless = 0;          // dictionaries with no detectable row
+  std::size_t rowless_potential = 0;  // ...that still report potential
+  std::uint64_t seed = 71;
+  for (const Named& w : circuits) {
+    FaultListOptions flo;
+    flo.include_line_stuck_at = false;
+    flo.collapse = false;
+    const std::vector<Fault> faults = generate_fault_list(w.ckt, flo);
+    const FaultSimulator fsim(w.ckt);
+    for (const Density& d : densities) {
+      for (const std::size_t count : {1u, 63u, 64u, 65u, 257u, 300u}) {
+        const std::vector<Pattern> patterns =
+            x_patterns(w.ckt, count, d.p, d.pin0_x, ++seed);
+        const EvalContext ctx(w.ckt, patterns);
+        ASSERT_FALSE(ctx.packed());
+        const std::string label =
+            w.name + " " + d.name + " n=" + std::to_string(count);
+        for (const FaultSimOptions& opt : record_options()) {
+          std::vector<DetectionRecord> want;
+          for (const Fault& f : faults) {
+            want.push_back(reference_transistor(w.ckt, f, patterns, opt));
+            const gates::FaultAnalysis& fa = dictionary(ctx, f);
+            if (fa.output_detectable || fa.marginal_detectable ||
+                fa.needs_sequence || fa.iddq_detectable)
+              continue;
+            ++rowless;
+            if (want.back().potential) ++rowless_potential;
+          }
+          for (const bool portable : portable_settings()) {
+            const ForcePortable pin(portable);
+            TransistorPathStats paths;
+            const std::vector<DetectionRecord> got = fsim.run_range(
+                ctx, faults, 0, faults.size(), opt, nullptr, &paths);
+            EXPECT_EQ(paths.dual_rail, faults.size()) << label;
+            for (std::size_t i = 0; i < faults.size(); ++i)
+              expect_record_eq(got[i], want[i],
+                               label + " fault " + std::to_string(i) +
+                                   describe(opt) +
+                                   (portable ? " portable" : " simd"));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(rowless, 0u) << "no fault without a detectable row";
+  EXPECT_GT(rowless_potential, 0u) << "no row-less fault reported potential";
 }
 
 }  // namespace

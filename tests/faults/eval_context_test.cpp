@@ -109,7 +109,6 @@ TEST(EvalContext, BothTransistorRailShapesMatchSerialOracle) {
         fsim.run_range(ctx, w.faults, 0, w.faults.size(), {}, nullptr, &paths);
     EXPECT_EQ(paths.packed, static_cast<std::size_t>(binary)) << w.name;
     EXPECT_EQ(paths.dual_rail, static_cast<std::size_t>(dual)) << w.name;
-    EXPECT_EQ(paths.scalar, 0u) << w.name;
     for (std::size_t fi = 0; fi < w.faults.size(); ++fi) {
       if (w.faults[fi].site != FaultSite::kGateTransistor) continue;
       expect_record_eq(got[fi],
@@ -188,16 +187,28 @@ TEST(EvalContext, TwoPatternStuckOpenSequencesRetainState) {
   EXPECT_GT(verified, 0);
 }
 
-TEST(EvalContext, XBearingPatternsStayScalarAndRejectLineFaults) {
+TEST(EvalContext, XBearingPatternsCarryAGoodXRailAndRejectLineFaults) {
   const logic::Circuit ckt = logic::full_adder();
   std::vector<Pattern> patterns = random_patterns(ckt, 4, 3);
   patterns[2][0] = LogicV::kX;
   const EvalContext ctx(ckt, patterns);
   EXPECT_FALSE(ctx.packed());
-  EXPECT_EQ(ctx.word_count(), 0u);
+  ASSERT_NE(ctx.good_x_planes(), nullptr);
+  EXPECT_EQ(EvalContext(ckt, random_patterns(ckt, 4, 3)).good_x_planes(),
+            nullptr);
+  // The packed good machine reads X exactly where the interpreted one is
+  // not binary, and the interpreted value elsewhere.
+  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
+    const logic::SimResult want = test::interp::simulate(ckt, patterns[pi]);
+    for (logic::NetId n = 0; n < ckt.net_count(); ++n) {
+      const LogicV w = want.value(n);
+      EXPECT_EQ(ctx.good_value(pi, n), is_binary(w) ? w : LogicV::kX)
+          << "pattern " << pi << " net " << n;
+    }
+  }
 
   const FaultSimulator fsim(ckt);
-  // Transistor faults still simulate (scalar serial path)...
+  // Transistor faults still simulate (dual rails over the X rail)...
   std::vector<Fault> trans;
   for (const Fault& f : generate_fault_list(ckt, {}))
     if (f.site == FaultSite::kGateTransistor) trans.push_back(f);

@@ -348,26 +348,34 @@ TEST(CompiledBatch, SimdBackendBitIdenticalToPortable) {
   }
 }
 
-TEST(CompiledBatch, XBearingPatternsKeepScalarPathsAndRejectLineFaults) {
+TEST(CompiledBatch, XBearingPatternsTakeDualRailsAndRejectLineFaults) {
   const Circuit ckt = alu_slice();
   std::vector<Pattern> patterns = random_patterns(ckt, 8, 13);
   patterns[2][1] = LogicV::kX;
   patterns[6][0] = LogicV::kX;
   const EvalContext ctx(ckt, patterns);
   EXPECT_FALSE(ctx.packed());
-  EXPECT_EQ(ctx.word_count(), 0u);
+  ASSERT_NE(ctx.good_x_planes(), nullptr);
   const FaultSimulator fsim(ckt);
 
   std::vector<Fault> trans;
   for (const Fault& f : faults::generate_fault_list(ckt, {}))
     if (f.site == FaultSite::kGateTransistor) trans.push_back(f);
   ASSERT_FALSE(trans.empty());
-  const auto got = fsim.run_range(ctx, trans, 0, trans.size());
-  for (std::size_t i = 0; i < trans.size(); ++i)
-    expect_record_eq(got[i],
-                     faults::test::reference_transistor(ckt, trans[i],
-                                                        patterns, {}),
-                     "trans " + std::to_string(i));
+  // Every backend runs the X-rail instantiation to the oracle's records.
+  for (const bool portable : {false, true}) {
+    ForcePortable pin(portable);
+    faults::TransistorPathStats paths;
+    const auto got =
+        fsim.run_range(ctx, trans, 0, trans.size(), {}, nullptr, &paths);
+    EXPECT_EQ(paths.dual_rail, trans.size());
+    for (std::size_t i = 0; i < trans.size(); ++i)
+      expect_record_eq(got[i],
+                       faults::test::reference_transistor(ckt, trans[i],
+                                                          patterns, {}),
+                       "trans " + std::to_string(i) +
+                           (portable ? " portable" : " simd"));
+  }
 
   // Line faults still demand packable patterns.
   const std::vector<Fault> line = {Fault::net_stuck(0, true)};
